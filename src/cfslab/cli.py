@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 numeric
 failure.  Reports are written into an output directory with fixed names and
-are byte-identical for identical inputs regardless of the worker count
-(override via --workers or the CFSLAB_WORKERS environment variable).
+are byte-identical for identical inputs regardless of the count of worker
+threads the pair analysis runs on (override via --workers or the
+CFSLAB_WORKERS environment variable).
 """
 
 from __future__ import annotations

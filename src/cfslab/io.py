@@ -106,19 +106,27 @@ def read_system(path) -> CausalFermionSystem:
         raise ValidationError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    version = _require(doc, "version")
-    if version != FORMAT_VERSION:
-        raise ValidationError(f"unsupported format version {version!r}")
-    n = int(_require(doc, "n"))
-    f = int(_require(doc, "f"))
-    tol_doc = doc.get("tolerances", {})
-    tolerances = Tolerances(**tol_doc) if tol_doc else Tolerances()
-    points = []
-    for entry in _require(doc, "points"):
-        pid = str(_require(entry, "id"))
-        weight = float(_require(entry, "weight"))
-        matrix = _matrix_from_pairs(_require(entry, "matrix"), f, pid)
-        points.append((pid, weight, OperatorPoint(matrix, tolerances)))
+    # Entries of the wrong type or shape surface as TypeError or ValueError
+    # from the conversions below; one handler turns them into input errors.
+    # Operators are built after it, so that a LinAlgError (a ValueError) from
+    # their eigendecomposition still reports a numeric failure.
+    try:
+        version = _require(doc, "version")
+        if version != FORMAT_VERSION:
+            raise ValidationError(f"unsupported format version {version!r}")
+        n = int(_require(doc, "n"))
+        f = int(_require(doc, "f"))
+        tol_doc = doc.get("tolerances", {})
+        tolerances = Tolerances(**tol_doc) if tol_doc else Tolerances()
+        entries = []
+        for entry in _require(doc, "points"):
+            pid = str(_require(entry, "id"))
+            weight = float(_require(entry, "weight"))
+            matrix = _matrix_from_pairs(_require(entry, "matrix"), f, pid)
+            entries.append((pid, weight, matrix))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed system file: {exc}") from None
+    points = [(pid, w, OperatorPoint(m, tolerances)) for pid, w, m in entries]
     return CausalFermionSystem(
         n, points, tolerances=tolerances, metadata=doc.get("metadata", {})
     )

@@ -4,14 +4,16 @@ Every unordered pair needs the spectrum of the product of the two operators
 restricted to the image of the first one.  For a regular system of spin
 dimension ``n`` that is one dense ``2n x 2n`` eigenproblem per pair, built
 from the overlap matrix of the two image bases; the full ``f x f`` product is
-never formed.  Work proceeds over fixed-size blocks of the pair matrix so
-that results are bit-identical no matter how many worker processes are used.
+never formed.  Work proceeds over fixed-size blocks of the pair matrix,
+spread over a pool of threads, so that results are bit-identical no matter
+how many worker threads are used.  The batched products and eigenproblems
+release the interpreter lock, so the threads run in parallel.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +25,11 @@ __all__ = ["PairAnalysis", "PairEngine", "resolve_workers"]
 
 # Block edge of the pair-matrix tiling.  Fixed: the tiling, not the worker
 # count, determines the shapes seen by BLAS/LAPACK, hence the output bytes.
-_BLOCK = 64
+# Each worker thread holds one block's temporaries; at 32 they stay small.
+_BLOCK = 32
 
 _CODES = {"S": 0, "T": 1, "L": 2}
 _SYMBOLS = np.array(["S", "T", "L"])
-
-_worker_state: dict = {}
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,12 @@ def resolve_workers(workers=None) -> int:
         return max(1, int(workers))
     env = os.environ.get("CFSLAB_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValidationError(
+                f"CFSLAB_WORKERS={env!r} is not an integer worker count"
+            ) from None
     return os.cpu_count() or 1
 
 
@@ -80,9 +86,10 @@ def _compute_block(state, i0, i1, j0, j1):
 
     bi = bases[i0:i1]
     bj = bases[j0:j1]
-    # Overlap G[i, j] = B_i^+ B_j, shape (ni, nj, r, r).
-    g = np.tensordot(bi.conj(), bj, axes=([1], [1])).transpose(0, 2, 1, 3)
-    g = np.ascontiguousarray(g)
+    # Overlap G[i, j] = B_i^+ B_j, shape (ni, nj, r, r): one small GEMM per
+    # pair, which BLAS runs single-threaded, so worker threads do not
+    # contend for BLAS's own thread pool.
+    g = bi.conj().swapaxes(1, 2)[:, None] @ bj[None]
     gh = g.conj().swapaxes(-1, -2)
     lx = lams[i0:i1]
     ly = lams[j0:j1]
@@ -120,15 +127,6 @@ def _compute_block(state, i0, i1, j0, j1):
     return i0, j0, codes, orient, cvals, specrad
 
 
-def _init_worker(state):
-    os.environ.setdefault("OMP_NUM_THREADS", "1")
-    _worker_state.update(state)
-
-
-def _worker_task(args):
-    return _compute_block(_worker_state, *args)
-
-
 class PairEngine:
     """Vectorized pair analysis for a regular system.
 
@@ -138,7 +136,7 @@ class PairEngine:
         Must be regular (every point of rank ``2 n``); singular systems need
         the per-pair functions from :mod:`cfslab.core`.
     workers : int, optional
-        Process count; ``None`` resolves via CFSLAB_WORKERS / cpu count.
+        Thread count; ``None`` resolves via CFSLAB_WORKERS / cpu count.
     """
 
     def __init__(self, system: CausalFermionSystem, workers=None):
@@ -172,16 +170,8 @@ class PairEngine:
         specrad = np.zeros((n_pts, n_pts), dtype=np.float64)
 
         tasks = list(_block_pairs(n_pts))
-        if self.workers > 1 and len(tasks) > 1:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(
-                processes=min(self.workers, len(tasks)),
-                initializer=_init_worker,
-                initargs=(self._state,),
-            ) as pool:
-                results = pool.map(_worker_task, tasks, chunksize=1)
-        else:
-            results = [_compute_block(self._state, *t) for t in tasks]
+        with ThreadPoolExecutor(max_workers=min(self.workers, len(tasks))) as pool:
+            results = pool.map(lambda t: _compute_block(self._state, *t), tasks)
 
         for i0, j0, bc, bo, bcv, bsr in results:
             ni, nj = bc.shape

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import Tolerances
 from .causal import CausalGraph
-from .pairs import PairAnalysis
+from .pairs import _SYMBOLS, PairAnalysis
 
 __all__ = [
     "classification_csv",
@@ -43,7 +43,8 @@ def _tolerance_header(tol: Tolerances) -> list[str]:
     ]
 
 
-_SIGN = {1: "+", 0: "0", -1: "-"}
+# Cell strings by causal code (row) and 1 - orientation sign (column).
+_CELLS = np.char.add(_SYMBOLS[:, None], np.array(["+", "0", "-"]))
 
 
 def classification_csv(analysis: PairAnalysis, include_diagonal: bool = False) -> str:
@@ -55,14 +56,13 @@ def classification_csv(analysis: PairAnalysis, include_diagonal: bool = False) -
     lines = _tolerance_header(analysis.tolerances)
     ids = analysis.ids
     lines.append("id," + ",".join(ids))
-    for i, pid in enumerate(ids):
-        row = [pid]
-        for j in range(len(ids)):
-            if i == j and not include_diagonal:
-                row.append("-")
-            else:
-                row.append(analysis.symbol(i, j) + _SIGN[int(analysis.orientation[i, j])])
-        lines.append(",".join(row))
+    cells = _CELLS[analysis.codes, 1 - analysis.orientation]
+    if not include_diagonal:
+        np.fill_diagonal(cells, "-")
+    # Joined row by row: converting the whole matrix to lists at once
+    # would hold every cell as a Python string.
+    for pid, row in zip(ids, cells):
+        lines.append(pid + "," + ",".join(row.tolist()))
     return "\n".join(lines) + "\n"
 
 

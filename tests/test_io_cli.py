@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from cfslab.cli import main, validate_system
-from cfslab.core import CausalFermionSystem, OperatorPoint
+from cfslab.core import CausalFermionSystem, OperatorPoint, Tolerances
 from cfslab.errors import ValidationError
 from cfslab.io import read_system, system_to_json, write_system
+from cfslab.pairs import PairAnalysis
+from cfslab.reports import classification_csv
 
 from conftest import nearby_point, random_regular_point, random_regular_system
 
@@ -81,6 +83,39 @@ class TestSystemFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError):
             read_system(path)
+
+
+class TestClassificationCsv:
+    @staticmethod
+    def reference_rows(analysis, include_diagonal):
+        """Per-cell writer: class symbol plus direction sign."""
+        sign = {1: "+", 0: "0", -1: "-"}
+        rows = []
+        for i, pid in enumerate(analysis.ids):
+            row = [pid]
+            for j in range(len(analysis.ids)):
+                if i == j and not include_diagonal:
+                    row.append("-")
+                else:
+                    row.append(analysis.symbol(i, j) + sign[int(analysis.orientation[i, j])])
+            rows.append(",".join(row))
+        return rows
+
+    @pytest.mark.parametrize("include_diagonal", [False, True])
+    def test_matches_per_cell_reference(self, include_diagonal):
+        # Codes and signs chosen so that all nine (class, sign) cells occur
+        # off the diagonal; random systems are almost never spacelike.
+        k = np.arange(6)
+        codes = ((k[:, None] + k[None, :]) % 3).astype(np.uint8)
+        orientation = ((2 * k[:, None] + k[None, :]) % 3 - 1).astype(np.int8)
+        off = ~np.eye(6, dtype=bool)
+        assert len(set(zip(codes[off].tolist(), orientation[off].tolist()))) == 9
+        ids = tuple(f"p{i}" for i in k)
+        zeros = np.zeros((6, 6))
+        analysis = PairAnalysis(ids, codes, orientation, zeros, zeros, Tolerances())
+        lines = classification_csv(analysis, include_diagonal).splitlines()
+        assert lines[3] == "id," + ",".join(ids)
+        assert lines[4:] == self.reference_rows(analysis, include_diagonal)
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +331,26 @@ class TestCli:
             ["holonomy", "--system", str(bad_path), "--triangle", "a,b,c", "--out", str(tmp_path)]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"points": [{"id": "a", "weight": 1.0, "matrix": [[1.0], [0.0, 0.0], [-1.0, 0.0]]}]},
+            {"points": [{"id": "a", "weight": 1.0, "matrix": [["x", 0.0], [0.0, 0.0], [-1.0, 0.0]]}]},
+            {"n": "two"},
+            {"points": 5},
+        ],
+        ids=["short-entry", "string-entry", "string-n", "scalar-points"],
+    )
+    def test_malformed_system_file(self, patch, tmp_path, capsys):
+        point = {"id": "a", "weight": 1.0, "matrix": [[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]}
+        doc = {"version": "1", "n": 1, "f": 2, "points": [point], **patch}
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--system", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_generate_mixture(self, tmp_path):
         config = {

@@ -1,5 +1,8 @@
 """Batched pair engine against the per-pair reference implementations."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,13 @@ from cfslab.core import CausalFermionSystem, OperatorPoint
 from conftest import random_regular_system
 
 _CLS = {0: CausalClass.SPACELIKE, 1: CausalClass.TIMELIKE, 2: CausalClass.LIGHTLIKE}
+
+
+def assert_identical(a, b):
+    assert np.array_equal(a.codes, b.codes)
+    assert np.array_equal(a.orientation, b.orientation)
+    assert np.array_equal(a.cvals, b.cvals)
+    assert np.array_equal(a.specrad, b.specrad)
 
 
 class TestEngineAgainstCore:
@@ -46,7 +56,7 @@ class TestEngineAgainstCore:
         assert np.all(np.diag(res.cvals) == 0.0)
 
     def test_spans_multiple_blocks(self):
-        # 70 points exceeds the 64-wide block tiling
+        # 70 points span three 32-wide tiles, the last one partial
         rng = np.random.default_rng(92)
         system = random_regular_system(70, 6, 1, rng)
         res = PairEngine(system, workers=1).analyze()
@@ -58,16 +68,37 @@ class TestEngineAgainstCore:
             )
 
     def test_byte_identity_across_workers(self):
+        # 150 points span five 32-wide tiles per row, the last one partial;
+        # 8 workers are more threads than tiles in a row and than cores.
         rng = np.random.default_rng(93)
         system = random_regular_system(150, 8, 2, rng)
         r1 = PairEngine(system, workers=1).analyze()
-        r2 = PairEngine(system, workers=2).analyze()
-        r3 = PairEngine(system, workers=3).analyze()
-        for a, b in ((r1, r2), (r1, r3)):
-            assert np.array_equal(a.codes, b.codes)
-            assert np.array_equal(a.orientation, b.orientation)
-            assert np.array_equal(a.cvals, b.cvals)
-            assert np.array_equal(a.specrad, b.specrad)
+        for workers in (2, 3, 8):
+            assert_identical(r1, PairEngine(system, workers=workers).analyze())
+
+    def test_concurrent_analyses_agree(self):
+        rng = np.random.default_rng(94)
+        system = random_regular_system(100, 8, 2, rng)
+        want = PairEngine(system, workers=1).analyze()
+        results = [None, None]
+
+        def run(k):
+            results[k] = PairEngine(system, workers=2).analyze()
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            assert got is not None
+            assert_identical(got, want)
 
     def test_requires_regular_system(self):
         singular = OperatorPoint(np.diag([1.0, 0.0, 0.0, -1.0]))
@@ -88,3 +119,8 @@ class TestWorkerResolution:
     def test_defaults_to_cpu_count(self, monkeypatch):
         monkeypatch.delenv("CFSLAB_WORKERS", raising=False)
         assert resolve_workers(None) >= 1
+
+    def test_env_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv("CFSLAB_WORKERS", "abc")
+        with pytest.raises(ValidationError, match="CFSLAB_WORKERS='abc'"):
+            resolve_workers(None)
