@@ -3,11 +3,13 @@
 A finite system induces a weighted digraph: an edge points from one point to
 a second one when the pair is timelike, the second lies in the future of the
 first, and the pair's length functional falls inside a chosen window.  The
-Lorentzian distance is the supremum of chain lengths, realized as a longest
-path after condensing strongly connected components (any reachable cycle
-forces an infinite supremum because all edge weights are positive).  From the
-distance derive a reflexive transitive order, an orthogonality relation, and
-the lattice of biorthogonally closed sets.
+Lorentzian distance is the supremum of chain lengths.  One sweep over the
+condensation of strongly connected components, in topological order, finds
+the longest walk between every pair of points (any cycle on the way forces
+an infinite supremum because all edge weights are positive); every distance
+and order query reads that matrix.  From the distance derive a reflexive
+transitive order, an orthogonality relation, and the lattice of
+biorthogonally closed sets.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ class CausalGraph:
 
     Vertices are point ids in system order; an edge ``u -> v`` carries the
     window value of the length functional.  The strongly-connected-component
-    condensation is computed once and cached.
+    condensation and the matrix of longest walks are computed once and
+    cached; every distance and order query reads that matrix.
     """
 
     def __init__(self, ids, edges):
@@ -112,6 +115,7 @@ class CausalGraph:
         for lst in self.adj:
             lst.sort()
         self._scc = None
+        self._longest = None
         self._reach = None
 
     def __len__(self) -> int:
@@ -148,25 +152,62 @@ class CausalGraph:
         return self._scc
 
     def cyclic_vertices(self) -> np.ndarray:
-        """Boolean mask of vertices lying in a nontrivial component."""
+        """Boolean mask of vertices on a cycle: in a nontrivial component or
+        carrying a self-loop."""
         labels = self.scc_labels()
         counts = np.bincount(labels, minlength=labels.max(initial=0) + 1)
-        return counts[labels] > 1
+        cyclic = counts[labels] > 1
+        cyclic[[u for u, v in self.weights if u == v]] = True
+        return cyclic
+
+    def longest_walks(self) -> np.ndarray:
+        """Matrix L of longest walks with >= 1 edge (cached).
+
+        ``L[u, v]`` is -inf when no such walk leads from u to v, inf when
+        one meets a cycle, and the longest path length otherwise.  One sweep
+        visits the condensation in topological order and, per edge, updates
+        the target's column for all sources at once.
+        """
+        if self._longest is None:
+            n = len(self.ids)
+            labels = self.scc_labels().tolist()
+            cyclic = self.cyclic_vertices()
+            members = [[] for _ in range(max(labels, default=-1) + 1)]
+            for v, c in enumerate(labels):
+                members[c].append(v)
+            succ = [set() for _ in members]
+            indeg = [0] * len(members)
+            for u, v in self.weights:
+                cu, cv = labels[u], labels[v]
+                if cu != cv and cv not in succ[cu]:
+                    succ[cu].add(cv)
+                    indeg[cv] += 1
+            order = [c for c, d in enumerate(indeg) if d == 0]
+            for c in order:  # Kahn: the list grows while it is walked
+                for t in succ[c]:
+                    indeg[t] -= 1
+                    if indeg[t] == 0:
+                        order.append(t)
+            longest = np.full((n, n), -math.inf)
+            for c in order:
+                vs = members[c]
+                if cyclic[vs[0]]:
+                    # every walk into or inside the component can loop
+                    src = (longest[:, vs] > -math.inf).any(axis=1)
+                    src[vs] = True
+                    longest[np.ix_(src, vs)] = math.inf
+                for w in vs:
+                    start = longest[:, w].copy()
+                    start[w] = max(start[w], 0.0)
+                    for t, weight in self.adj[w]:
+                        np.maximum(longest[:, t], start + weight, out=longest[:, t])
+            self._longest = longest
+        return self._longest
 
     def reachable(self) -> np.ndarray:
         """Boolean matrix R with R[u, v] true iff a walk with >= 1 edge exists."""
         if self._reach is None:
-            n = len(self.ids)
-            r = np.zeros((n, n), dtype=bool)
-            for s in range(n):
-                stack = [v for v, _ in self.adj[s]]
-                seen = r[s]
-                while stack:
-                    v = stack.pop()
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.extend(w for w, _ in self.adj[v])
-            self._reach = r
+            self._reach = self.longest_walks() > -math.inf
         return self._reach
 
 
@@ -233,75 +274,18 @@ def lorentzian_distance(x_id: str, y_id: str, graph: CausalGraph) -> float:
     """Supremum of chain lengths from x to y.
 
     Zero when no chain exists (in particular for x == y without a cycle
-    through x); infinite iff some walk from x to y meets a nontrivial
-    strongly connected component, since every cycle has positive weight.
-    Otherwise the supremum is attained on a simple path and computed by
-    topological dynamic programming.
+    through x); infinite iff some walk from x to y meets a cycle, since
+    every cycle has positive weight.  Otherwise the supremum is attained on
+    a simple path.  Reads :meth:`CausalGraph.longest_walks`.
     """
     u, v = graph.index(x_id), graph.index(y_id)
-    reach = graph.reachable()
-    if not reach[u, v]:
-        return 0.0
-    on_walk = np.zeros(len(graph), dtype=bool)
-    for w in range(len(graph)):
-        from_u = w == u or reach[u, w]
-        to_v = w == v or reach[w, v]
-        on_walk[w] = from_u and to_v
-    if np.any(on_walk & graph.cyclic_vertices()):
-        return math.inf
-    return _dag_longest_path(graph, u, v, on_walk)
-
-
-def _dag_longest_path(graph: CausalGraph, u: int, v: int, mask) -> float:
-    """Longest u -> v path inside an acyclic vertex subset."""
-    indeg = {w: 0 for w in np.nonzero(mask)[0]}
-    for w in indeg:
-        for t, _ in graph.adj[w]:
-            if t in indeg:
-                indeg[t] += 1
-    order = [w for w, d in indeg.items() if d == 0]
-    topo = []
-    head = 0
-    while head < len(order):
-        w = order[head]
-        head += 1
-        topo.append(w)
-        for t, _ in graph.adj[w]:
-            if t in indeg:
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    order.append(t)
-    best = {w: -math.inf for w in topo}
-    best[u] = 0.0
-    for w in topo:
-        if best[w] == -math.inf:
-            continue
-        for t, weight in graph.adj[w]:
-            if t in best and best[w] + weight > best[t]:
-                best[t] = best[w] + weight
-    return best.get(v, -math.inf) if best.get(v, -math.inf) > 0 else 0.0
+    return max(float(graph.longest_walks()[u, v]), 0.0)
 
 
 def distance_matrix(graph: CausalGraph) -> np.ndarray:
     """All-pairs Lorentzian distances; inf encodes unbounded chains."""
-    n = len(graph)
-    reach = graph.reachable()
-    cyc = graph.cyclic_vertices()
-    out = np.zeros((n, n))
-    for u in range(n):
-        # vertices on some u -> v walk, per target v, share the reachability
-        # structure; handle the infinite part first
-        for v in range(n):
-            if not reach[u, v]:
-                continue
-            on_walk = (
-                (np.arange(n) == u) | reach[u]
-            ) & ((np.arange(n) == v) | reach[:, v])
-            if np.any(on_walk & cyc):
-                out[u, v] = math.inf
-            else:
-                out[u, v] = _dag_longest_path(graph, u, v, on_walk)
-    return out
+    walks = graph.longest_walks()
+    return np.where(walks > 0, walks, 0.0)
 
 
 def partial_order(x_id: str, y_id: str, graph: CausalGraph) -> bool:
@@ -317,17 +301,9 @@ def partial_order(x_id: str, y_id: str, graph: CausalGraph) -> bool:
 
 def _incomparability_masks(graph: CausalGraph) -> list[int]:
     """Bitmask of points orthogonal to each point (neither precedes the other)."""
-    n = len(graph)
     reach = graph.reachable()
-    comparable = reach | reach.T | np.eye(n, dtype=bool)
-    masks = []
-    for u in range(n):
-        m = 0
-        for v in range(n):
-            if not comparable[u, v]:
-                m |= 1 << v
-        masks.append(m)
-    return masks
+    incomparable = ~(reach | reach.T | np.eye(len(graph), dtype=bool))
+    return [sum(1 << v for v in np.flatnonzero(row).tolist()) for row in incomparable]
 
 
 def ortho_complement(a_ids, graph: CausalGraph) -> set:
@@ -341,16 +317,19 @@ def ortho_complement(a_ids, graph: CausalGraph) -> set:
 
 
 def enumerate_lattice(graph: CausalGraph, max_points: int = 20) -> list:
-    """All biorthogonally closed subsets, as sorted id tuples.
+    """All biorthogonally closed subsets, as id tuples in point order.
 
     Closed sets are exactly the complements of arbitrary subsets, i.e. the
     intersections of single-point complements together with the full set, so
     the enumeration is closure-driven rather than a scan of the power set.
-    Ordered by (size, membership) for deterministic reports.
+    Ordered by (size, id tuple) for deterministic reports, with ids compared
+    as strings; at most 63 points, so that every set fits one int64 mask.
     """
     n = len(graph)
-    if n > max_points:
-        raise ValidationError(f"system has {n} > max_points = {max_points} points")
+    if n > min(max_points, 63):
+        raise ValidationError(
+            f"system has {n} points, more than max_points = {max_points} or 63"
+        )
     masks = _incomparability_masks(graph)
     full = (1 << n) - 1
     closed = {full}
@@ -359,13 +338,27 @@ def enumerate_lattice(graph: CausalGraph, max_points: int = 20) -> list:
     # the empty set is always closed (its double complement is empty because
     # no point is orthogonal to itself)
     closed.add(0)
+    bits = np.fromiter(closed, dtype=np.int64, count=len(closed))
+    # key[k] is the string rank of each set's k-th member in point order
+    rank = np.empty(n, dtype=np.int8)
+    rank[sorted(range(n), key=graph.ids.__getitem__)] = np.arange(n)
+    size = np.zeros(len(bits), dtype=np.int8)
+    key = np.zeros((n, len(bits)), dtype=np.int8)
+    for v in range(n):
+        has = (bits >> v & 1).astype(bool)
+        key[size[has], has] = rank[v]
+        size += has
+    bits = bits[np.lexsort((*key[::-1], size))]
 
-    def unpack(bits):
-        return tuple(graph.ids[v] for v in range(n) if bits >> v & 1)
+    def unpack(b):
+        return tuple(graph.ids[v] for v in range(n) if b >> v & 1)
 
-    sets = [unpack(c) for c in closed]
-    sets.sort(key=lambda s: (len(s), s))
-    return sets
+    # each tuple is the concatenation of its low and high halves
+    h = n // 2
+    low = (1 << h) - 1
+    lo = {b: unpack(b) for b in np.unique(bits & low).tolist()}
+    hi = {b: unpack(b << h) for b in np.unique(bits >> h).tolist()}
+    return [lo[b & low] + hi[b >> h] for b in bits.tolist()]
 
 
 def tangent_cone_histogram(

@@ -95,8 +95,9 @@ def read_system(path) -> CausalFermionSystem:
     Raises
     ------
     ValidationError
-        On malformed JSON (with line and column), missing fields, or
-        violated invariants (Hermiticity, signature bounds, weights).
+        On malformed JSON (with line and column), missing fields, an empty
+        point list, n or f below 1, or violated invariants (Hermiticity,
+        signature bounds, weights).
     """
     with open(path) as fh:
         text = fh.read()
@@ -116,6 +117,8 @@ def read_system(path) -> CausalFermionSystem:
             raise ValidationError(f"unsupported format version {version!r}")
         n = int(_require(doc, "n"))
         f = int(_require(doc, "f"))
+        if n < 1 or f < 1:
+            raise ValidationError(f"need n >= 1 and f >= 1, got n={n}, f={f}")
         tol_doc = doc.get("tolerances", {})
         tolerances = Tolerances(**tol_doc) if tol_doc else Tolerances()
         entries = []
@@ -126,6 +129,8 @@ def read_system(path) -> CausalFermionSystem:
             entries.append((pid, weight, matrix))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed system file: {exc}") from None
+    if not entries:
+        raise ValidationError("system file has no points")
     points = [(pid, w, OperatorPoint(m, tolerances)) for pid, w, m in entries]
     return CausalFermionSystem(
         n, points, tolerances=tolerances, metadata=doc.get("metadata", {})

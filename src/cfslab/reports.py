@@ -45,6 +45,8 @@ def _tolerance_header(tol: Tolerances) -> list[str]:
 
 # Cell strings by causal code (row) and 1 - orientation sign (column).
 _CELLS = np.char.add(_SYMBOLS[:, None], np.array(["+", "0", "-"]))
+# Order cells by relation (False, True).
+_BITS = np.array(["0", "1"])
 
 
 def classification_csv(analysis: PairAnalysis, include_diagonal: bool = False) -> str:
@@ -81,11 +83,9 @@ def order_csv(ids, dmat: np.ndarray, tol: Tolerances) -> str:
     """Partial-order matrix: 1 where the row point precedes the column point."""
     lines = _tolerance_header(tol)
     lines.append("id," + ",".join(ids))
-    for i, pid in enumerate(ids):
-        row = [pid]
-        for j in range(len(ids)):
-            row.append("1" if i == j or dmat[i, j] > 0 else "0")
-        lines.append(",".join(row))
+    cells = _BITS[((dmat > 0) | np.eye(len(ids), dtype=bool)).view(np.uint8)]
+    for pid, row in zip(ids, cells):
+        lines.append(pid + "," + ",".join(row.tolist()))
     return "\n".join(lines) + "\n"
 
 

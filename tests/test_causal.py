@@ -227,6 +227,51 @@ class TestLorentzianDistance:
                 else:
                     assert dmat[i, j] == pytest.approx(single, abs=1e-12)
 
+    def test_self_loops_and_two_cycles_match_brute_force(self):
+        g = make_graph(3, {(0, 1): 1.0, (1, 1): 0.5, (1, 2): 1.0})
+        assert list(g.cyclic_vertices()) == [False, True, False]
+        dmat = distance_matrix(g)
+        for u, v in [(0, 1), (0, 2), (1, 1), (1, 2)]:
+            assert dmat[u, v] == math.inf and g.reachable()[u, v]
+        rng = np.random.default_rng(57)
+        for _ in range(60):
+            n = int(rng.integers(2, 8))
+            edges = {}
+            for u in range(n):
+                if rng.random() < 0.25:
+                    edges[(u, u)] = float(rng.uniform(0.2, 2.0))
+                for v in range(u + 1, n):
+                    r = rng.random()
+                    if r < 0.2:
+                        edges[(u, v)] = edges[(v, u)] = float(rng.uniform(0.2, 2.0))
+                    elif r < 0.45:
+                        edges[(u, v)] = float(rng.uniform(0.2, 2.0))
+            g = make_graph(n, edges)
+            dmat = distance_matrix(g)
+            for u in range(n):
+                for v in range(n):
+                    want = brute_distance(g, u, v)
+                    if math.isinf(want):
+                        assert math.isinf(dmat[u, v])
+                    else:
+                        assert dmat[u, v] == pytest.approx(want, abs=1e-12)
+
+    def test_queries_read_one_matrix(self):
+        rng = np.random.default_rng(58)
+        cyclic = 0
+        for _ in range(20):
+            g = random_graph(rng, n=9, p=0.3)
+            cyclic += bool(g.cyclic_vertices().any())
+            dmat = distance_matrix(g)
+            reach = g.reachable()
+            for i, u in enumerate(g.ids):
+                for j, v in enumerate(g.ids):
+                    d = lorentzian_distance(u, v, g)
+                    assert d == dmat[i, j]
+                    assert reach[i, j] == (d > 0)
+                    assert partial_order(u, v, g) == (i == j or d > 0)
+        assert cyclic >= 10
+
     def test_reverse_triangle_inequality(self):
         rng = np.random.default_rng(48)
         for _ in range(30):
@@ -289,6 +334,12 @@ class TestLattice:
         g = make_graph(5, {})
         with pytest.raises(ValidationError):
             enumerate_lattice(g, max_points=4)
+        # closed sets are sorted as int64 bit masks: 63 points at most
+        chain = make_graph(64, {(k, k + 1): 1.0 for k in range(63)})
+        with pytest.raises(ValidationError):
+            enumerate_lattice(chain, max_points=100)
+        chain = make_graph(63, {(k, k + 1): 1.0 for k in range(62)})
+        assert enumerate_lattice(chain, max_points=100) == [(), chain.ids]
 
     def _brute_closed_sets(self, g):
         n = len(g.ids)
@@ -325,6 +376,18 @@ class TestLattice:
             want, _ = self._brute_closed_sets(g)
             got = enumerate_lattice(g)
             assert got == want
+
+    @pytest.mark.parametrize("shuffled", [True, False])
+    def test_fourteen_points_in_string_order(self, shuffled):
+        # ids compare as strings: g10 < g2, and shuffled ids leave point
+        # order and string order unrelated
+        rng = np.random.default_rng(59 + shuffled)
+        g = random_graph(rng, n=14, p=0.04)
+        if shuffled:
+            g = CausalGraph([f"g{k}" for k in rng.permutation(14)], g.weights)
+        want, _ = self._brute_closed_sets(g)
+        assert len(want) > 100
+        assert enumerate_lattice(g) == want
 
     def test_galois_laws(self):
         rng = np.random.default_rng(51)

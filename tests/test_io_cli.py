@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from cfslab.causal import CausalGraph, distance_matrix
 from cfslab.cli import main, validate_system
 from cfslab.core import CausalFermionSystem, OperatorPoint, Tolerances
 from cfslab.errors import ValidationError
 from cfslab.io import read_system, system_to_json, write_system
 from cfslab.pairs import PairAnalysis
-from cfslab.reports import classification_csv
+from cfslab.reports import classification_csv, order_csv
 
 from conftest import nearby_point, random_regular_point, random_regular_system
 
@@ -116,6 +117,23 @@ class TestClassificationCsv:
         lines = classification_csv(analysis, include_diagonal).splitlines()
         assert lines[3] == "id," + ",".join(ids)
         assert lines[4:] == self.reference_rows(analysis, include_diagonal)
+
+
+class TestOrderCsv:
+    def test_matches_per_cell_reference(self):
+        # a 2-cycle between g1 and g2 makes its row infinite; g3 is isolated
+        graph = CausalGraph(
+            ["g0", "g1", "g2", "g3"], {(0, 1): 1.0, (1, 2): 0.5, (2, 1): 0.5}
+        )
+        dmat = distance_matrix(graph)
+        assert np.isinf(dmat[0, 2]) and dmat[3].max() == 0.0
+        lines = order_csv(graph.ids, dmat, Tolerances()).splitlines()
+        want = [
+            pid + "," + ",".join("1" if i == j or dmat[i, j] > 0 else "0" for j in range(4))
+            for i, pid in enumerate(graph.ids)
+        ]
+        assert lines[3] == "id,g0,g1,g2,g3"
+        assert lines[4:] == want
 
 
 @pytest.fixture(scope="module")
@@ -339,8 +357,9 @@ class TestCli:
             {"points": [{"id": "a", "weight": 1.0, "matrix": [["x", 0.0], [0.0, 0.0], [-1.0, 0.0]]}]},
             {"n": "two"},
             {"points": 5},
+            {"points": []},
         ],
-        ids=["short-entry", "string-entry", "string-n", "scalar-points"],
+        ids=["short-entry", "string-entry", "string-n", "scalar-points", "no-points"],
     )
     def test_malformed_system_file(self, patch, tmp_path, capsys):
         point = {"id": "a", "weight": 1.0, "matrix": [[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]}
@@ -351,6 +370,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n, f", [(1, 0), (0, 2), (-1, 2)])
+    def test_dimensions_below_one(self, n, f, tmp_path, capsys):
+        doc = {"version": "1", "n": n, "f": f, "points": [{"id": "a", "weight": 1.0, "matrix": []}]}
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError):
+            read_system(path)
+        assert main(["validate", "--system", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_generate_mixture(self, tmp_path):
         config = {
