@@ -216,15 +216,12 @@ def build_causal_graph(
     scales: LengthScales,
     tol: Tolerances | None = None,
     workers=None,
-    require_spin_connectable: bool = False,
 ) -> CausalGraph:
     """Causal graph of a system: edge u -> v iff the pair is timelike, v lies
     in the future of u, and the length functional is inside the window.
 
-    ``require_spin_connectable`` strengthens the chain condition to pairs
-    that also admit a spin connection (off by default).  Regular systems go
-    through the batched pair engine; singular systems fall back to per-pair
-    evaluation.
+    Regular systems go through the batched pair engine; singular systems
+    fall back to per-pair evaluation.
     """
     tol = tol or system.tolerances
     md = system.metadata
@@ -259,14 +256,6 @@ def build_causal_graph(
                 w = ell(x, y, scales)
                 if w > 0:
                     edges[(u, v)] = w
-    if require_spin_connectable and edges:
-        from .spin import spin_connectable
-
-        edges = {
-            (u, v): w
-            for (u, v), w in edges.items()
-            if spin_connectable(system, system.ids[u], system.ids[v], tol)
-        }
     return CausalGraph(system.ids, edges)
 
 

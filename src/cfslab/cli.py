@@ -10,6 +10,7 @@ CFSLAB_WORKERS environment variable).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -25,14 +26,11 @@ from .pairs import PairEngine
 __all__ = ["main"]
 
 
-def _tolerances(args) -> Tolerances:
-    return Tolerances(
-        eig_rel=args.eig_rel, imag_rel=args.imag_rel, zero_abs=args.zero_abs
-    )
-
-
 def _with_tolerances(system: CausalFermionSystem, args) -> CausalFermionSystem:
-    tol = _tolerances(args)
+    """Apply the tolerance flags that were given over the file's own block."""
+    names = ("eig_rel", "imag_rel", "zero_abs")
+    given = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    tol = dataclasses.replace(system.tolerances, **given)
     if tol == system.tolerances:
         return system
     return CausalFermionSystem(
@@ -44,9 +42,10 @@ def _with_tolerances(system: CausalFermionSystem, args) -> CausalFermionSystem:
 
 
 def _add_tol_flags(p: argparse.ArgumentParser):
-    p.add_argument("--eig-rel", type=float, default=Tolerances().eig_rel)
-    p.add_argument("--imag-rel", type=float, default=Tolerances().imag_rel)
-    p.add_argument("--zero-abs", type=float, default=Tolerances().zero_abs)
+    """Tolerance overrides; a flag not given keeps the system file's value."""
+    p.add_argument("--eig-rel", type=float)
+    p.add_argument("--imag-rel", type=float)
+    p.add_argument("--zero-abs", type=float)
 
 
 def _outdir(args) -> Path:

@@ -8,7 +8,6 @@ produced with, so identical inputs yield byte-identical reports.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -30,8 +29,6 @@ __all__ = [
 
 def fmt(value: float) -> str:
     """17-significant-digit decimal; infinities as 'inf'."""
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
     return "%.17g" % value
 
 
@@ -74,8 +71,8 @@ def distance_csv(ids, dmat: np.ndarray, tol: Tolerances, scales=None) -> str:
         lines.append(f"# l_min={fmt(scales.l_min)}")
         lines.append(f"# l_max={fmt(scales.l_max)}")
     lines.append("id," + ",".join(ids))
-    for i, pid in enumerate(ids):
-        lines.append(pid + "," + ",".join(fmt(dmat[i, j]) for j in range(len(ids))))
+    for pid, row in zip(ids, dmat.tolist()):
+        lines.append(pid + "," + ",".join(map("%.17g".__mod__, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -183,6 +183,17 @@ def closed_chain(system: CausalFermionSystem, x_id: str, y_id: str) -> ClosedCha
     return ClosedChain(x_id, y_id, a, w, clusters)
 
 
+def _positive_spectrum(w, tol: Tolerances) -> bool:
+    """Nonzero spectrum, real within ``imag_rel`` and positive beyond
+    ``zero_abs``, both relative to the largest modulus."""
+    scale = np.abs(w).max(initial=0.0)
+    return bool(
+        scale != 0.0
+        and not np.any(np.abs(w.imag) > tol.imag_rel * scale)
+        and not np.any(w.real <= tol.zero_abs * scale)
+    )
+
+
 def properly_timelike(
     system: CausalFermionSystem, x_id: str, y_id: str, tol: Tolerances | None = None
 ) -> bool:
@@ -190,15 +201,46 @@ def properly_timelike(
     eigenspace is definite for the spin scalar product."""
     tol = tol or system.tolerances
     chain = closed_chain(system, x_id, y_id)
-    w = chain.eigenvalues
-    scale = np.abs(w).max(initial=0.0)
-    if scale == 0.0:
-        return False
-    if np.any(np.abs(w.imag) > tol.imag_rel * scale):
-        return False
-    if np.any(w.real <= tol.zero_abs * scale):
-        return False
-    return chain.definite
+    return _positive_spectrum(chain.eigenvalues, tol) and chain.definite
+
+
+def _split_chain(system: CausalFermionSystem, x_id: str, y_id: str, tol: Tolerances):
+    """Sign operator ``v`` and ``A^(-1/2)`` of the closed chain A_xy.
+
+    The chain is built once, and each eigenvalue cluster's spectral
+    projector is formed once and added into ``v`` with the cluster's sign
+    and into ``A^(-1/2)`` with ``1 / sqrt(eigenvalue)``.  Raises
+    ``NotSpinConnectableError`` for a spectrum that is not strictly positive
+    within ``tol``, an indefinite eigenspace, or a definite splitting of
+    dimensions other than ``(n, n)``.
+    """
+    chain = closed_chain(system, x_id, y_id)
+    if not _positive_spectrum(chain.eigenvalues, tol):
+        raise NotSpinConnectableError(
+            f"closed chain of ({x_id}, {y_id}) has non-positive spectrum: "
+            f"{chain.eigenvalues}"
+        )
+    dims = {1: 0, -1: 0}
+    for c in chain.clusters:
+        if c.sign == 0:
+            raise NotSpinConnectableError(
+                f"indefinite chain eigenspace for pair ({x_id}, {y_id})"
+            )
+        dims[c.sign] += c.dim
+    n = system.n
+    if dims[1] != n or dims[-1] != n:
+        raise NotSpinConnectableError(
+            f"definite splitting has dimensions ({dims[1]},{dims[-1]}), "
+            f"expected ({n},{n})"
+        )
+    gram = system.spin_space(x_id).gram_diag
+    v = np.zeros_like(chain.matrix)
+    inv_half = np.zeros_like(chain.matrix)
+    for c in chain.clusters:
+        proj = c.vectors @ np.linalg.solve(c.gram_form, c.vectors.conj().T * gram[None, :])
+        v += c.sign * proj
+        inv_half += (1.0 / math.sqrt(c.value.real)) * proj
+    return v, inv_half
 
 
 # ---------------------------------------------------------------------------
@@ -235,48 +277,8 @@ def directional_sign(
     Requires the positive and negative definite eigenspaces of A_xy to have
     dimension ``n`` each; otherwise the pair is not spin-connectable.
     """
-    tol = tol or system.tolerances
-    if not properly_timelike(system, x_id, y_id, tol):
-        raise NotSpinConnectableError(
-            f"pair ({x_id}, {y_id}) is not properly timelike separated"
-        )
-    chain = closed_chain(system, x_id, y_id)
-    gram = system.spin_space(x_id).gram_diag
-    v = _sign_from_clusters(chain, gram, system.n)
+    v, _ = _split_chain(system, x_id, y_id, tol or system.tolerances)
     return SignOperator("directional", x_id, v)
-
-
-def _sign_from_clusters(chain: ClosedChain, gram_diag, n: int) -> np.ndarray:
-    dims = {1: 0, -1: 0}
-    for c in chain.clusters:
-        if c.sign == 0:
-            raise NotSpinConnectableError(
-                f"indefinite chain eigenspace for pair ({chain.x_id}, {chain.y_id})"
-            )
-        dims[c.sign] += c.dim
-    if dims[1] != n or dims[-1] != n:
-        raise NotSpinConnectableError(
-            f"definite splitting has dimensions ({dims[1]},{dims[-1]}), "
-            f"expected ({n},{n})"
-        )
-    v = np.zeros_like(chain.matrix)
-    for c in chain.clusters:
-        proj = c.vectors @ np.linalg.solve(c.gram_form, c.vectors.conj().T * gram_diag[None, :])
-        v += c.sign * proj
-    return v
-
-
-def _chain_function(chain: ClosedChain, gram_diag, func) -> np.ndarray:
-    """Functional calculus on the (definite, diagonalizable) closed chain."""
-    out = np.zeros_like(chain.matrix)
-    for c in chain.clusters:
-        if c.sign == 0:
-            raise NotSpinConnectableError(
-                f"indefinite chain eigenspace for pair ({chain.x_id}, {chain.y_id})"
-            )
-        proj = c.vectors @ np.linalg.solve(c.gram_form, c.vectors.conj().T * gram_diag[None, :])
-        out += func(c.value) * proj
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +360,9 @@ def verify_clifford(
     return CliffordSubspace(gens, metric, signature, base_id)
 
 
-def _subspace_frame(subspace: CliffordSubspace) -> np.ndarray:
+def _subspace_frame(generators) -> np.ndarray:
     """Euclidean-orthonormal basis of the vectorized generator span."""
-    mat = np.stack([g.ravel() for g in subspace.generators], axis=1)
+    mat = np.stack([g.ravel() for g in generators], axis=1)
     q, r = np.linalg.qr(mat)
     if np.abs(np.diag(r)).min() < 1e-12 * np.abs(np.diag(r)).max():
         raise ValidationError("generators are linearly dependent")
@@ -369,7 +371,9 @@ def _subspace_frame(subspace: CliffordSubspace) -> np.ndarray:
 
 def grassmann_residual(k1: CliffordSubspace, k2: CliffordSubspace) -> float:
     """Sine of the largest principal angle between the generator spans."""
-    angles = scipy.linalg.subspace_angles(_subspace_frame(k1), _subspace_frame(k2))
+    angles = scipy.linalg.subspace_angles(
+        _subspace_frame(k1.generators), _subspace_frame(k2.generators)
+    )
     return float(np.sin(angles).max(initial=0.0))
 
 
@@ -498,46 +502,43 @@ def spin_connectable(
     return True
 
 
-def _connection_matrix(system, x_id, y_id, phi):
-    chain = closed_chain(system, x_id, y_id)
-    w = chain.eigenvalues
-    scale = np.abs(w).max(initial=0.0)
-    tol = system.tolerances
-    if scale == 0.0 or np.any(w.real <= tol.zero_abs * scale) or np.any(
-        np.abs(w.imag) > tol.imag_rel * scale
-    ):
-        raise NotSpinConnectableError(
-            f"closed chain of ({x_id}, {y_id}) has non-positive spectrum: {w}"
-        )
-    gram = system.spin_space(x_id).gram_diag
-    v = _sign_from_clusters(chain, gram, system.n)
-    inv_half = _chain_function(chain, gram, lambda lam: 1.0 / math.sqrt(lam.real))
+def _connection_map(system: CausalFermionSystem, x_id: str, y_id: str):
+    """The pair's connection ``phi -> (cos phi + i sin phi v) A^(-1/2) P(x, y)``.
+
+    ``v``, ``A^(-1/2)`` and ``P(x, y)`` are built once, so evaluating the
+    returned function forms only the rotation and two products.  Raises
+    ``NotSpinConnectableError`` as :func:`_split_chain` does.
+    """
+    v, inv_half = _split_chain(system, x_id, y_id, system.tolerances)
     p = kernel(system, x_id, y_id).matrix
-    r = v.shape[0]
-    rot = math.cos(phi) * np.eye(r) + 1j * math.sin(phi) * v
-    return rot @ inv_half @ p, v
+    eye = np.eye(v.shape[0])
 
+    def at(phi: float) -> np.ndarray:
+        rot = math.cos(phi) * eye + 1j * math.sin(phi) * v
+        return rot @ inv_half @ p
 
-def _condition_residual(system, x_id, y_id, phi, k_xy, k_yx):
-    """Grassmann mismatch of the hint subspaces under the candidate map."""
-    d, _ = _connection_matrix(system, x_id, y_id, phi)
-    gx = system.spin_space(x_id).gram_diag
-    gy = system.spin_space(y_id).gram_diag
-    d_inv = spin_adjoint(d, gy, gx)
-    mapped = tuple(d_inv @ g @ d for g in k_xy.generators)
-    mapped_sub = CliffordSubspace(mapped, k_xy.metric, k_xy.signature, y_id)
-    return grassmann_residual(mapped_sub, k_yx)
+    return at
 
 
 def _scan_phi(system, x_id, y_id, k_xy, k_yx):
     """Best condition-(ii) phase over both admissible ranges.
 
-    Coarse grid plus golden-section refinement; on a tie the positive range
-    wins, keeping reports deterministic.
+    The residual is the Grassmann mismatch of ``k_yx`` and the ``k_xy``
+    generators conjugated by the candidate connection.  Coarse grid plus
+    golden-section refinement; on a tie the positive range wins, keeping
+    reports deterministic.
     """
+    connection = _connection_map(system, x_id, y_id)
+    gx = system.spin_space(x_id).gram_diag
+    gy = system.spin_space(y_id).gram_diag
+    target = _subspace_frame(k_yx.generators)
 
     def residual(phi):
-        return _condition_residual(system, x_id, y_id, phi, k_xy, k_yx)
+        d = connection(phi)
+        d_inv = spin_adjoint(d, gy, gx)
+        mapped = _subspace_frame([d_inv @ g @ d for g in k_xy.generators])
+        angles = scipy.linalg.subspace_angles(mapped, target)
+        return float(np.sin(angles).max(initial=0.0))
 
     best = None
     for lo, hi in PHI_RANGES:
@@ -611,23 +612,35 @@ def spin_connection(
         phi_abs = PHI_DEFAULT
         meta = {"phi_source": "default"}
     phi = phi_abs if canonical else -phi_abs
-    matrix, v = _connection_matrix(system, x_id, y_id, phi)
     meta["canonical_order"] = canonical
-    return SpinConnection(x_id, y_id, phi, matrix, meta)
+    return SpinConnection(x_id, y_id, phi, _connection_map(system, x_id, y_id)(phi), meta)
 
 
 # ---------------------------------------------------------------------------
 # transport, holonomy, metric connection
 
 
+def _splice(system: CausalFermionSystem, clifford_provider, at, from_id, to_id):
+    """Splice map at ``at`` from the reference subspace for the pair
+    ``(at, from_id)`` to the one for ``(at, to_id)``; the identity without
+    a provider."""
+    if clifford_provider is None:
+        return np.eye(system.point(at).rank, dtype=np.complex128)
+    return splice_map(
+        system.spin_space(at),
+        clifford_provider(at, from_id),
+        clifford_provider(at, to_id),
+    )
+
+
 def compose_transport(
     system: CausalFermionSystem,
     path_ids,
     clifford_provider=None,
-    clifford_hints: bool = False,
 ):
     """Compose spin connections along a discrete path, splicing at the stops.
 
+    Every segment uses the default connection phase.
     ``clifford_provider(a_id, b_id)`` must return the reference Clifford
     subspace at ``a`` for the pair ``(a, b)``; without a provider the splice
     maps are identities (recorded in the segment metadata).
@@ -642,10 +655,7 @@ def compose_transport(
     total = None
     for k in range(1, len(path)):
         prev, cur = path[k - 1], path[k]
-        hint = None
-        if clifford_provider is not None and clifford_hints:
-            hint = (clifford_provider(cur, prev), clifford_provider(prev, cur))
-        conn = spin_connection(system, cur, prev, clifford_hint=hint)
+        conn = spin_connection(system, cur, prev)
         g_prev = system.spin_space(prev).gram_diag
         g_cur = system.spin_space(cur).gram_diag
         defect = spin_adjoint(conn.matrix, g_prev, g_cur) @ conn.matrix
@@ -660,17 +670,8 @@ def compose_transport(
         if total is None:
             total = conn.matrix
         else:
-            if clifford_provider is not None:
-                before = path[k - 2]
-                u = splice_map(
-                    system.spin_space(prev),
-                    clifford_provider(prev, before),
-                    clifford_provider(prev, cur),
-                )
-                seg["splice"] = True
-            else:
-                u = np.eye(total.shape[0], dtype=np.complex128)
-                seg["splice"] = False
+            u = _splice(system, clifford_provider, prev, path[k - 2], cur)
+            seg["splice"] = clifford_provider is not None
             total = conn.matrix @ u @ total
         records.append(seg)
     return total, records
@@ -693,22 +694,12 @@ def holonomy(
     def conn(a, b):
         return spin_connection(system, a, b).matrix
 
-    def splice(at, from_other, to_other):
-        if clifford_provider is None:
-            r = system.point(at).rank
-            return np.eye(r, dtype=np.complex128)
-        return splice_map(
-            system.spin_space(at),
-            clifford_provider(at, from_other),
-            clifford_provider(at, to_other),
-        )
-
     return (
-        splice(x_id, y_id, z_id)
+        _splice(system, clifford_provider, x_id, y_id, z_id)
         @ conn(x_id, y_id)
-        @ splice(y_id, z_id, x_id)
+        @ _splice(system, clifford_provider, y_id, z_id, x_id)
         @ conn(y_id, z_id)
-        @ splice(z_id, x_id, y_id)
+        @ _splice(system, clifford_provider, z_id, x_id, y_id)
         @ conn(z_id, x_id)
     )
 

@@ -5,13 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from cfslab.causal import CausalGraph, distance_matrix
+from cfslab.causal import CausalGraph, LengthScales, distance_matrix
 from cfslab.cli import main, validate_system
 from cfslab.core import CausalFermionSystem, OperatorPoint, Tolerances
 from cfslab.errors import ValidationError
 from cfslab.io import read_system, system_to_json, write_system
 from cfslab.pairs import PairAnalysis
-from cfslab.reports import classification_csv, order_csv
+from cfslab.reports import classification_csv, distance_csv, fmt, order_csv
 
 from conftest import nearby_point, random_regular_point, random_regular_system
 
@@ -136,6 +136,31 @@ class TestOrderCsv:
         assert lines[4:] == want
 
 
+class TestDistanceCsv:
+    def test_matches_per_cell_reference(self):
+        def cell(value):
+            if np.isinf(value):
+                return "inf" if value > 0 else "-inf"
+            return "%.17g" % value
+
+        rng = np.random.default_rng(5)
+        dmat = rng.uniform(0.0, 3.0, size=(5, 5)) ** 3
+        dmat[np.eye(5, dtype=bool)] = 0.0
+        dmat[0, 3] = dmat[2, 4] = np.inf
+        dmat[1, 0] = -np.inf
+        dmat[4] = 0.0
+        ids = [f"g{i}" for i in range(5)]
+        want = [pid + "," + ",".join(cell(v) for v in row) for pid, row in zip(ids, dmat)]
+        for scales in (None, LengthScales(0.25, 2.5)):
+            lines = distance_csv(ids, dmat, Tolerances(), scales).splitlines()
+            header = 3 if scales is None else 5
+            if scales is not None:
+                assert lines[3:5] == ["# l_min=0.25", "# l_max=2.5"]
+            assert lines[header] == "id," + ",".join(ids)
+            assert lines[header + 1 :] == want
+        assert fmt(np.inf) == "inf" and fmt(-np.inf) == "-inf" and fmt(0.0) == "0"
+
+
 @pytest.fixture(scope="module")
 def generated(tmp_path_factory):
     """A generated Minkowski system file plus its config."""
@@ -183,6 +208,27 @@ class TestCli:
         b1 = (out1 / "classification.csv").read_bytes()
         b2 = (out2 / "classification.csv").read_bytes()
         assert b1 == b2
+
+    @pytest.mark.parametrize(
+        "flags, want",
+        [([], (1e-4, 1e-4, 1e-12)), (["--eig-rel", "1e-6"], (1e-6, 1e-4, 1e-12))],
+    )
+    def test_tolerance_flags_override_file(self, flags, want, tmp_path):
+        # flags not given keep the file's own tolerance block
+        rng = np.random.default_rng(6)
+        base = random_regular_system(3, 6, 1, rng)
+        system = CausalFermionSystem(
+            1,
+            [(e.id, e.weight, e.op) for e in base.points],
+            tolerances=Tolerances(eig_rel=1e-4, imag_rel=1e-4),
+        )
+        sys_path = tmp_path / "system.json"
+        write_system(system, sys_path)
+        out = tmp_path / "cls"
+        assert main(["classify", "--system", str(sys_path), "--out", str(out), *flags]) == 0
+        header = (out / "classification.csv").read_text().splitlines()[:3]
+        names = ("eig_rel", "imag_rel", "zero_abs")
+        assert header == [f"# {name}={fmt(value)}" for name, value in zip(names, want)]
 
     def test_classification_matrix_layout(self, generated, tmp_path):
         _, _, sys_path = generated

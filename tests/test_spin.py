@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import cfslab as cl
 from cfslab import minkowski as mk
 from cfslab.core import CausalClass, CausalFermionSystem, OperatorPoint, classify
 from cfslab.errors import NotSpinConnectableError, SpliceError, ValidationError
-from cfslab.spin import spin_adjoint
+from cfslab.spin import CliffordSubspace, grassmann_residual, spin_adjoint
 
 from conftest import (
     connectable_pair_system,
@@ -230,12 +231,9 @@ class TestSpinConnection:
         # the eigenvalue sign pattern
         x = OperatorPoint(np.diag([2.0, -1.0, -1.5, 2.5]))
         system = CausalFermionSystem(2, [("x", 1.0, x)])
-        chain = cl.closed_chain(system, "x", "x")
-        from cfslab.spin import _chain_function
-        import math
+        from cfslab.spin import _split_chain
 
-        gd = system.spin_space("x").gram_diag
-        inv_half = _chain_function(chain, gd, lambda lam: 1.0 / math.sqrt(lam.real))
+        _, inv_half = _split_chain(system, "x", "x", system.tolerances)
         p = cl.kernel(system, "x", "x").matrix
         signs = np.sign(x.nonzero_eigenvalues())
         assert np.allclose(inv_half @ p, np.diag(signs), atol=1e-10)
@@ -279,6 +277,58 @@ class TestSpinConnection:
         system = CausalFermionSystem(1, [("x", 1.0, x), ("y", 1.0, y)])
         with pytest.raises(NotSpinConnectableError):
             cl.spin_connection(system, "x", "y")
+
+    def test_matches_closed_form_oracle(self):
+        # exp(i phi v) A^(-1/2) P(x, y) with the square root from scipy
+        # instead of the chain's spectral projectors
+        rng = np.random.default_rng(33)
+        checked = 0
+        for _ in range(30):
+            system = connectable_pair_system(8, 2, rng)
+            if not cl.spin_connectable(system, "x", "y"):
+                continue
+            checked += 1
+            for a, b in (("x", "y"), ("y", "x")):
+                conn = cl.spin_connection(system, a, b)
+                v = cl.directional_sign(system, a, b).matrix
+                chain = cl.closed_chain(system, a, b).matrix
+                p = cl.kernel(system, a, b).matrix
+                rot = np.cos(conn.phi) * np.eye(4) + 1j * np.sin(conn.phi) * v
+                want = rot @ np.linalg.inv(scipy.linalg.sqrtm(chain)) @ p
+                assert np.linalg.norm(conn.matrix - want) <= 1e-8 * np.linalg.norm(want)
+        assert checked >= 15
+
+    def test_not_properly_timelike_raises(self):
+        rng = np.random.default_rng(34)
+        rejected = 0
+        for _ in range(30):
+            system = random_regular_system(2, 6, 2, rng)
+            a, b = system.ids
+            if cl.properly_timelike(system, a, b):
+                continue
+            rejected += 1
+            with pytest.raises(NotSpinConnectableError):
+                cl.directional_sign(system, a, b)
+            with pytest.raises(NotSpinConnectableError):
+                cl.spin_connection(system, a, b)
+        assert rejected >= 10
+
+    def test_hint_residual_matches_grassmann(self, small_minkowski):
+        _, system, modes = small_minkowski
+        x, y = "p0000", "p0001"
+        k_xy = mk.dirac_frame(system, modes, x, y)
+        k_yx = mk.dirac_frame(system, modes, y, x)
+        conn = cl.spin_connection(system, x, y, clifford_hint=(k_xy, k_yx), cond2_tol=0.2)
+        assert conn.metadata["canonical_order"]
+        d = conn.matrix
+        gx = system.spin_space(x).gram_diag
+        gy = system.spin_space(y).gram_diag
+        d_inv = spin_adjoint(d, gy, gx)
+        mapped = CliffordSubspace(
+            tuple(d_inv @ g @ d for g in k_xy.generators), k_xy.metric, k_xy.signature, y
+        )
+        # the scan evaluates this same arithmetic at the returned phase
+        assert conn.metadata["hint_residual"] == grassmann_residual(mapped, k_yx)
 
     def test_hint_scan_records_phase(self, small_minkowski):
         _, system, modes = small_minkowski
