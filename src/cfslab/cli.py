@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import causal, minkowski, reports, spin
-from .core import CausalFermionSystem, Tolerances, classify, time_direction
+from .core import CausalFermionSystem, OperatorPoint, Tolerances, classify, time_direction
 from .errors import CfsError, ValidationError
 from .io import read_system, write_system
 from .pairs import PairEngine
@@ -33,9 +33,13 @@ def _with_tolerances(system: CausalFermionSystem, args) -> CausalFermionSystem:
     tol = dataclasses.replace(system.tolerances, **given)
     if tol == system.tolerances:
         return system
+    ops = [e.op for e in system.points]
+    if tol.zero_abs != system.tolerances.zero_abs:
+        # ranks are decided by zero_abs when a point is built
+        ops = [OperatorPoint(op.matrix, tol) for op in ops]
     return CausalFermionSystem(
         system.n,
-        [(e.id, e.weight, e.op) for e in system.points],
+        [(e.id, e.weight, op) for e, op in zip(system.points, ops)],
         tolerances=tol,
         metadata=system.metadata,
     )

@@ -11,6 +11,7 @@ commutator-trace functional.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,9 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("eig_rel", "imag_rel", "zero_abs"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"tolerance {name} must be positive")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValidationError(f"tolerance {name} must be positive and finite")
         if self.eig_rel >= 1e-3 or self.imag_rel >= 1e-3:
             raise ValidationError("eig_rel and imag_rel must be below 1e-3")
 
@@ -96,7 +98,7 @@ class OperatorPoint:
     Parameters
     ----------
     matrix : (f, f) array_like
-        Complex matrix; must equal its conjugate transpose within
+        Finite complex matrix; must equal its conjugate transpose within
         ``1e-12 * ||matrix||_F``.
     tol : Tolerances, optional
     """
@@ -116,6 +118,8 @@ class OperatorPoint:
         a = np.ascontiguousarray(matrix, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValidationError("matrix has a non-finite entry")
         defect = np.linalg.norm(a - a.conj().T)
         if defect > _HERMITICITY_RTOL * max(np.linalg.norm(a), 1e-300):
             raise ValidationError(
@@ -271,8 +275,8 @@ class CausalFermionSystem:
                     f"point {e.id!r} has signature ({e.op.pos_eigs},{e.op.neg_eigs}), "
                     f"exceeding spin dimension n={n}"
                 )
-            if e.weight < 0:
-                raise ValidationError(f"point {e.id!r} has negative weight")
+            if not math.isfinite(e.weight) or e.weight < 0:
+                raise ValidationError(f"point {e.id!r} has a negative or non-finite weight")
         if not any(e.weight > 0 for e in entries):
             raise ValidationError("all weights vanish; the measure is trivial")
         ids = [e.id for e in entries]

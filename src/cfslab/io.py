@@ -1,14 +1,17 @@
 """System files: a JSON format for finite systems.
 
-Complex entries are stored as [re, im] pairs; matrices may be given as the
-full row-major list or as the lower triangle only, which is completed
-Hermitially on load.  Files written by :func:`write_system` always use the
-lower triangle.  Parsing and emitting round-trip bit-exactly on the decimal
-representation.
+Format version "2" stores each point's matrix as one string: the base64 of
+its row-major lower triangle, f(f+1)/2 entries of little-endian complex128
+(``"<c16"``, an (re, im) pair of float64 each), completed Hermitially on
+load.  It is bit-exact by construction.  :func:`write_system` always writes
+version 2.  Version "1" files, whose matrices are lists of [re, im] pairs
+holding either the lower triangle or the full row-major matrix, are still
+read; the reader tells the two layouts apart by the matrix's JSON type.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 
 from .core import CausalFermionSystem, OperatorPoint, Tolerances
@@ -18,44 +21,53 @@ import numpy as np
 
 __all__ = ["read_system", "system_to_json", "write_system"]
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
+READ_VERSIONS = ("1", FORMAT_VERSION)
 
 
-def _matrix_to_lower(matrix) -> list:
-    out = []
-    f = matrix.shape[0]
-    for i in range(f):
-        for j in range(i + 1):
-            z = matrix[i, j]
-            out.append([float(z.real), float(z.imag)])
-    return out
+def _lower_blob(matrix) -> str:
+    low = matrix[np.tril_indices(matrix.shape[0])].astype("<c16")
+    return base64.b64encode(low.tobytes()).decode("ascii")
 
 
-def _matrix_from_pairs(pairs, f: int, pid: str) -> np.ndarray:
+def _matrix_from_entry(raw, f: int, pid: str) -> np.ndarray:
     n_low = f * (f + 1) // 2
-    if len(pairs) == n_low:
-        m = np.zeros((f, f), dtype=np.complex128)
-        it = iter(pairs)
-        for i in range(f):
-            for j in range(i + 1):
-                re, im = next(it)
-                m[i, j] = complex(re, im)
-                if i != j:
-                    m[j, i] = complex(re, -im)
-        return m
-    if len(pairs) == f * f:
-        flat = np.array([complex(re, im) for re, im in pairs])
-        m = flat.reshape(f, f)
-        defect = np.abs(m - m.conj().T).max()
-        if defect > 1e-12 * max(np.abs(m).max(), 1e-300):
+    if isinstance(raw, str):
+        data = base64.b64decode(raw, validate=True)
+        if len(data) != 16 * n_low:
             raise ValidationError(
-                f"point {pid!r}: matrix is not Hermitian (defect {defect:.3e})"
+                f"point {pid!r}: matrix blob has {len(data)} bytes, expected {16 * n_low}"
             )
-        return m
-    raise ValidationError(
-        f"point {pid!r}: matrix has {len(pairs)} entries, expected "
-        f"{n_low} (lower triangle) or {f * f} (full)"
-    )
+        low = np.frombuffer(data, dtype="<c16").astype(np.complex128, copy=False)
+    elif isinstance(raw, list):
+        pairs = np.asarray(raw)
+        if pairs.dtype.kind not in "biuf" or pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValidationError(f"point {pid!r}: matrix must be a list of [re, im] pairs")
+        # .view keeps signed zeros, which re + 1j * im would not
+        low = np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[:, 0]
+        if len(low) == f * f:
+            m = low.reshape(f, f)
+            defect = np.abs(m - m.conj().T).max()
+            if defect > 1e-12 * max(np.abs(m).max(), 1e-300):
+                raise ValidationError(
+                    f"point {pid!r}: matrix is not Hermitian (defect {defect:.3e})"
+                )
+            return m
+        if len(low) != n_low:
+            raise ValidationError(
+                f"point {pid!r}: matrix has {len(low)} entries, expected "
+                f"{n_low} (lower triangle) or {f * f} (full)"
+            )
+    else:
+        raise ValidationError(
+            f"point {pid!r}: matrix must be a base64 string or a list of [re, im] pairs"
+        )
+    rows, cols = np.tril_indices(f)
+    m = np.empty((f, f), dtype=np.complex128)
+    # conjugate triangle first, so the diagonal keeps its stored value
+    m[cols, rows] = low.conj()
+    m[rows, cols] = low
+    return m
 
 
 def system_to_json(system: CausalFermionSystem) -> str:
@@ -67,11 +79,7 @@ def system_to_json(system: CausalFermionSystem) -> str:
         "tolerances": system.tolerances.as_dict(),
         "metadata": system.metadata,
         "points": [
-            {
-                "id": e.id,
-                "weight": e.weight,
-                "matrix": _matrix_to_lower(e.op.matrix),
-            }
+            {"id": e.id, "weight": e.weight, "matrix": _lower_blob(e.op.matrix)}
             for e in system.points
         ],
     }
@@ -90,30 +98,33 @@ def _require(doc: dict, key: str):
 
 
 def read_system(path) -> CausalFermionSystem:
-    """Parse and validate a system file.
+    """Parse and validate a system file of format version 1 or 2.
 
     Raises
     ------
     ValidationError
         On malformed JSON (with line and column), missing fields, an empty
-        point list, n or f below 1, or violated invariants (Hermiticity,
+        point list, n or f below 1, a matrix blob that is not base64 of the
+        right length, or violated invariants (Hermiticity, finite entries,
         signature bounds, weights).
     """
-    with open(path) as fh:
-        text = fh.read()
     try:
-        doc = json.loads(text)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"system file is not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    # Entries of the wrong type or shape surface as TypeError or ValueError
-    # from the conversions below; one handler turns them into input errors.
-    # Operators are built after it, so that a LinAlgError (a ValueError) from
-    # their eigendecomposition still reports a numeric failure.
+    # Entries of the wrong type or shape surface as TypeError, ValueError
+    # (bad base64 among them) or OverflowError (an infinite n or f) from the
+    # conversions below; one handler turns them into input errors.  Operators
+    # are built after it, so that a LinAlgError (a ValueError) from their
+    # eigendecomposition still reports a numeric failure.
     try:
         version = _require(doc, "version")
-        if version != FORMAT_VERSION:
+        if version not in READ_VERSIONS:
             raise ValidationError(f"unsupported format version {version!r}")
         n = int(_require(doc, "n"))
         f = int(_require(doc, "f"))
@@ -121,17 +132,18 @@ def read_system(path) -> CausalFermionSystem:
             raise ValidationError(f"need n >= 1 and f >= 1, got n={n}, f={f}")
         tol_doc = doc.get("tolerances", {})
         tolerances = Tolerances(**tol_doc) if tol_doc else Tolerances()
+        metadata = doc.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise ValidationError("system file metadata must be an object")
         entries = []
         for entry in _require(doc, "points"):
             pid = str(_require(entry, "id"))
             weight = float(_require(entry, "weight"))
-            matrix = _matrix_from_pairs(_require(entry, "matrix"), f, pid)
+            matrix = _matrix_from_entry(_require(entry, "matrix"), f, pid)
             entries.append((pid, weight, matrix))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed system file: {exc}") from None
     if not entries:
         raise ValidationError("system file has no points")
     points = [(pid, w, OperatorPoint(m, tolerances)) for pid, w, m in entries]
-    return CausalFermionSystem(
-        n, points, tolerances=tolerances, metadata=doc.get("metadata", {})
-    )
+    return CausalFermionSystem(n, points, tolerances=tolerances, metadata=metadata)

@@ -50,6 +50,14 @@ class TestOperatorPoint:
         y = OperatorPoint(np.diag([1.0, 1e-8, -1.0]))
         assert y.rank == 3
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_entry(self, bad):
+        # NaN compares false, so the Hermiticity test alone let it through
+        m = np.diag([1.0, -1.0]).astype(complex)
+        m[1, 1] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            OperatorPoint(m)
+
     def test_singular_rank(self):
         assert not OperatorPoint(np.diag([2.0, 0.0])).is_regular(1)
         x = np.zeros((4, 4))
@@ -217,6 +225,9 @@ class TestSystem:
             CausalFermionSystem(2, [("a", 0.0, x)])
         with pytest.raises(ValidationError):
             CausalFermionSystem(2, [("a", 1.0, x), ("a", 1.0, x)])
+        for weight in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="non-finite"):
+                CausalFermionSystem(2, [("a", 1.0, x), ("b", weight, x)])
 
     def test_restrict_to_regular_identity(self):
         rng = np.random.default_rng(17)
@@ -269,3 +280,9 @@ class TestTolerances:
         with pytest.raises(ValidationError):
             Tolerances(imag_rel=-1e-9)
         assert Tolerances().as_dict()["zero_abs"] == 1e-12
+
+    @pytest.mark.parametrize("name", ["eig_rel", "imag_rel", "zero_abs"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValidationError, match="finite"):
+            Tolerances(**{name: value})

@@ -1,19 +1,40 @@
 """System files, report determinism, and the command-line interface."""
 
+import base64
+import contextlib
+import copy
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfslab.causal import CausalGraph, LengthScales, distance_matrix
-from cfslab.cli import main, validate_system
+from cfslab.cli import _with_tolerances, build_parser, main, validate_system
 from cfslab.core import CausalFermionSystem, OperatorPoint, Tolerances
 from cfslab.errors import ValidationError
-from cfslab.io import read_system, system_to_json, write_system
+from cfslab.io import _matrix_from_entry, read_system, system_to_json, write_system
 from cfslab.pairs import PairAnalysis
 from cfslab.reports import classification_csv, distance_csv, fmt, order_csv
 
 from conftest import nearby_point, random_regular_point, random_regular_system
+
+
+def _pairs(values) -> list:
+    """[re, im] pairs of complex values, as a version 1 file lists them."""
+    return [[float(z.real), float(z.imag)] for z in values]
+
+
+def _v1_doc(system, full=False) -> dict:
+    """A version 1 document of ``system``: lower-triangle or full pair lists."""
+    doc = json.loads(system_to_json(system))
+    doc["version"] = "1"
+    for point, e in zip(doc["points"], system.points):
+        m = e.op.matrix
+        point["matrix"] = _pairs(m.ravel() if full else m[np.tril_indices(system.f)])
+    return doc
 
 
 class TestSystemFile:
@@ -26,7 +47,91 @@ class TestSystemFile:
         assert system_to_json(loaded) == path.read_text()
         assert loaded.ids == system.ids
         for a, b in zip(loaded.points, system.points):
-            assert np.allclose(a.op.matrix, b.op.matrix, atol=1e-15)
+            assert np.array_equal(a.op.matrix, b.op.matrix)
+
+    def test_v2_blob_layout(self):
+        rng = np.random.default_rng(86)
+        system = random_regular_system(2, 5, 2, rng)
+        doc = json.loads(system_to_json(system))
+        assert doc["version"] == "2"
+        for point, e in zip(doc["points"], system.points):
+            low = np.frombuffer(base64.b64decode(point["matrix"]), dtype="<c16")
+            assert low.tobytes() == e.op.matrix[np.tril_indices(5)].astype("<c16").tobytes()
+
+    def test_v1_lower_v1_full_and_v2_read_alike(self, tmp_path):
+        rng = np.random.default_rng(87)
+        base = random_regular_system(3, 6, 2, rng, weights=[1.0, 0.25, 3.5])
+        # an imaginary -0.0 below the diagonal: re + 1j * im would drop its
+        # sign, and only the bytes tell
+        m = np.diag([2.0, 1.0, -1.0, -2.0, 0.0, 0.0]).astype(complex)
+        m[3, 1] = complex(-0.5, -0.0)
+        m[1, 3] = complex(-0.5, 0.0)
+        points = [(e.id, e.weight, e.op) for e in base.points]
+        points[0] = ("p0000", 1.0, OperatorPoint(m))
+        system = CausalFermionSystem(2, points)
+        texts = {
+            "v1-lower": json.dumps(_v1_doc(system)),
+            "v1-full": json.dumps(_v1_doc(system, full=True)),
+            "v2": system_to_json(system),
+        }
+        for name, text in texts.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            loaded = read_system(path)
+            assert [e.weight for e in loaded.points] == [1.0, 0.25, 3.5], name
+            for a, b in zip(loaded.points, system.points):
+                assert a.op.matrix.tobytes() == b.op.matrix.tobytes(), name
+            assert system_to_json(loaded) == texts["v2"], name
+
+    def test_diagonal_keeps_stored_value(self):
+        # the conjugate triangle is written first; the stored one overwrites
+        # the diagonal, imaginary part included
+        low = np.array([1.0 + 1e-30j, 2.0 - 3.0j, -1.0 - 1e-30j])
+        for raw in (_pairs(low), base64.b64encode(low.astype("<c16").tobytes()).decode()):
+            m = _matrix_from_entry(raw, 2, "a")
+            assert m.tobytes() == np.array([[low[0], low[1].conjugate()], low[1:]]).tobytes()
+
+    @pytest.mark.parametrize(
+        "matrix, version, match",
+        [
+            (base64.b64encode(bytes(16 * 2)).decode(), "2", "blob has 32 bytes"),
+            ("AAAA!AAA", "2", "malformed"),
+            (5.0, "2", "base64 string or a list"),
+            ({"re": 1.0}, "1", "base64 string or a list"),
+            ([[1.0, 0.0, 0.0]] * 3, "1", "list of \\[re, im\\] pairs"),
+            (None, "3", "unsupported format version '3'"),
+        ],
+        ids=["blob-length", "blob-base64", "number", "object", "triples", "version-3"],
+    )
+    def test_bad_matrix_or_version_rejected(self, matrix, version, match, tmp_path):
+        doc = {
+            "version": version,
+            "n": 1,
+            "f": 2,
+            "points": [{"id": "a", "weight": 1.0, "matrix": matrix}],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=match):
+            read_system(path)
+
+    def test_non_finite_blob_rejected(self, tmp_path):
+        rng = np.random.default_rng(88)
+        system = random_regular_system(1, 3, 1, rng)
+        doc = json.loads(system_to_json(system))
+        low = system.points[0].op.matrix[np.tril_indices(3)].astype("<c16")
+        low[3] = complex(np.nan, 0.0)
+        doc["points"][0]["matrix"] = base64.b64encode(low.tobytes()).decode()
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="non-finite"):
+            read_system(path)
+
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"version": "2", "metadata": {"name": "\xe9"}}')
+        with pytest.raises(ValidationError, match="UTF-8"):
+            read_system(path)
 
     def test_full_matrix_accepted(self, tmp_path):
         rng = np.random.default_rng(81)
@@ -417,6 +522,53 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "patch, point_patch",
+        [
+            ({"tolerances": {"eig_rel": float("nan")}}, {}),
+            ({}, {"weight": float("nan"), "matrix": [[1.0, 0.0], [float("nan"), 0.0], [-1.0, 0.0]]}),
+            ({}, {"matrix": [[1.0, 0.0], [float("inf"), 0.0], [-1.0, 0.0]]}),
+            ({}, {"weight": float("inf")}),
+        ],
+        ids=["nan-tolerance", "nan-weight-and-entry", "inf-entry", "inf-weight"],
+    )
+    def test_non_finite_file_rejected(self, patch, point_patch, tmp_path, capsys):
+        point = {"id": "a", "weight": 1.0, "matrix": [[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]}
+        points = [point, point | {"id": "b"} | point_patch]
+        doc = {"version": "1", "n": 1, "f": 2, "points": points, **patch}
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--system", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", [["--eig-rel", "nan"], ["--zero-abs", "inf"]])
+    def test_non_finite_flag_rejected(self, flag, generated, capsys):
+        _, _, sys_path = generated
+        assert main(["validate", "--system", str(sys_path), *flag]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+
+    def test_zero_abs_flag_decides_ranks(self, tmp_path, capsys):
+        # diag(1, -1, 1e-8): rank 3 under the default cutoff, 2 under 1e-6
+        args = build_parser().parse_args(["validate", "--system", "-", "--zero-abs", "1e-6"])
+        system = CausalFermionSystem(2, [("a", 1.0, OperatorPoint(np.diag([1.0, -1.0, 1e-8])))])
+        assert system.points[0].op.rank == 3
+        assert _with_tolerances(system, args).points[0].op.rank == 2
+        # a file read with zero_abs=1e-6 fits n=1; the default cutoff counts
+        # the third eigenvalue, which exceeds the spin dimension
+        one = CausalFermionSystem(
+            1,
+            [("a", 1.0, OperatorPoint(np.diag([1.0, -1.0, 1e-8]), Tolerances(zero_abs=1e-6)))],
+            tolerances=Tolerances(zero_abs=1e-6),
+        )
+        path = tmp_path / "cutoff.json"
+        write_system(one, path)
+        assert main(["validate", "--system", str(path)]) == 0
+        assert main(["validate", "--system", str(path), "--zero-abs", "1e-12"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exceeding spin dimension" in err
+
     @pytest.mark.parametrize("n, f", [(1, 0), (0, 2), (-1, 2)])
     def test_dimensions_below_one(self, n, f, tmp_path, capsys):
         doc = {"version": "1", "n": n, "f": f, "points": [{"id": "a", "weight": 1.0, "matrix": []}]}
@@ -482,3 +634,84 @@ class TestIoCrossCheck:
         assert time_direction(loaded.point("x"), loaded.point("y")) == pytest.approx(
             time_direction(system.point("x"), system.point("y")), abs=1e-12
         )
+
+
+def _fuzz_documents() -> dict:
+    """A valid two-point system (f=3, n=1) as a version 1 and a version 2 document."""
+    system = random_regular_system(2, 3, 1, np.random.default_rng(89))
+    return {"1": _v1_doc(system), "2": json.loads(system_to_json(system))}
+
+
+_FUZZ_DOCS = _fuzz_documents()
+_KEY_PATHS = [
+    ("version",), ("n",), ("f",), ("tolerances",), ("tolerances", "eig_rel"),
+    ("tolerances", "zero_abs"), ("metadata",), ("points",), ("points", 0),
+    ("points", 1, "id"), ("points", 0, "weight"), ("points", 1, "matrix"),
+]
+_PAIR_PATHS = [("points", 0, "matrix", 2), ("points", 1, "matrix", 5, 1)]
+_VALUES = [
+    None, True, 0, -1, 2.5, float("nan"), float("inf"), "x", "", "AAAA", [], [0], [[0.0, 0.0]],
+    {}, {"eig_rel": 1.0},
+]
+
+
+def _at(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc, path[-1]
+
+
+@st.composite
+def mutated_files(draw) -> str:
+    """The text of a valid system file after one mutation."""
+    version = draw(st.sampled_from(["1", "2"]))
+    doc = copy.deepcopy(_FUZZ_DOCS[version])
+    kind = draw(st.sampled_from(["drop", "retype", "version", "truncate", "blob"]))
+    if kind == "drop":
+        parent, key = _at(doc, draw(st.sampled_from(_KEY_PATHS)))
+        del parent[key]
+    elif kind == "retype":
+        paths = _KEY_PATHS + (_PAIR_PATHS if version == "1" else [])
+        parent, key = _at(doc, draw(st.sampled_from(paths)))
+        parent[key] = draw(st.sampled_from(_VALUES))
+    elif kind == "version":
+        doc["version"] = draw(st.sampled_from(["1", "2", "3", "", 2, None]))
+    elif kind == "blob":
+        doc = copy.deepcopy(_FUZZ_DOCS["2"])
+        point = doc["points"][draw(st.integers(0, 1))]
+        blob = point["matrix"]
+        k = draw(st.integers(0, len(blob) - 1))
+        if draw(st.booleans()):
+            blob = blob[:k] + draw(st.sampled_from("A/+=9z!* \né")) + blob[k + 1 :]
+        else:
+            blob = blob[k:] if draw(st.booleans()) else blob[:k]
+        point["matrix"] = blob
+    text = json.dumps(doc, indent=1)
+    if kind == "truncate":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+class TestReaderFuzz:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(text=mutated_files())
+    def test_mutated_file_fails_cleanly(self, text, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "mutated.json"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", "--system", str(path)])
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in out + err
+        if code == 0:
+            assert out.startswith("ok: ") and err == ""
+        elif code == 1 and err:
+            # the file was refused: one line, nothing else
+            assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
+        elif code == 1:
+            # the file was read, and the invariant suite reports what it found
+            assert all(line.startswith("violation: ") for line in out.splitlines())
+        else:
+            assert code == 3 and err.startswith("numeric failure: ") and err.count("\n") == 1
+            with pytest.raises(np.linalg.LinAlgError):
+                validate_system(read_system(path))
