@@ -22,15 +22,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .core import (
-    CausalFermionSystem,
-    OperatorPoint,
-    Tolerances,
-    classify,
-    CausalClass,
-    product_spectrum,
-    time_direction,
-)
+from .core import CausalFermionSystem, OperatorPoint, product_spectrum
 from .errors import ValidationError
 from .pairs import PairEngine
 
@@ -214,16 +206,14 @@ class CausalGraph:
 def build_causal_graph(
     system: CausalFermionSystem,
     scales: LengthScales,
-    tol: Tolerances | None = None,
     workers=None,
 ) -> CausalGraph:
     """Causal graph of a system: edge u -> v iff the pair is timelike, v lies
     in the future of u, and the length functional is inside the window.
 
-    Regular systems go through the batched pair engine; singular systems
-    fall back to per-pair evaluation.
+    Every pair goes through the batched pair engine, with the system's own
+    tolerances.
     """
-    tol = tol or system.tolerances
     md = system.metadata
     eps, mass = md.get("eps"), md.get("mass")
     if eps is not None and scales.l_min <= eps:
@@ -231,31 +221,16 @@ def build_causal_graph(
     if mass and scales.l_max >= 1.0 / mass:
         warnings.warn("l_max reaches the Compton scale 1/m", stacklevel=2)
 
-    n = len(system)
-    edges = {}
-    if system.is_regular():
-        res = PairEngine(system, workers=workers).analyze()
-        timelike = res.codes == 1
-        future = res.orientation == 1
-        with np.errstate(divide="ignore"):
-            nominal = np.where(res.specrad > 0, res.specrad ** (-1.0 / 6.0), 0.0)
-        inside = (scales.l_min < nominal) & (nominal < scales.l_max)
-        for u, v in zip(*np.nonzero(timelike & future & inside)):
-            edges[(int(u), int(v))] = float(nominal[u, v])
-    else:
-        for u in range(n):
-            for v in range(n):
-                if u == v:
-                    continue
-                x, y = system.points[u].op, system.points[v].op
-                if classify(x, y, tol, n=system.n) is not CausalClass.TIMELIKE:
-                    continue
-                c = time_direction(x, y)
-                if c <= tol.imag_rel * x.spectral_radius * y.spectral_radius:
-                    continue
-                w = ell(x, y, scales)
-                if w > 0:
-                    edges[(u, v)] = w
+    res = PairEngine(system, workers=workers).analyze()
+    timelike = res.codes == 1
+    future = res.orientation == 1
+    with np.errstate(divide="ignore"):
+        nominal = np.where(res.specrad > 0, res.specrad ** (-1.0 / 6.0), 0.0)
+    inside = (scales.l_min < nominal) & (nominal < scales.l_max)
+    edges = {
+        (int(u), int(v)): float(nominal[u, v])
+        for u, v in zip(*np.nonzero(timelike & future & inside))
+    }
     return CausalGraph(system.ids, edges)
 
 

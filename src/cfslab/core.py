@@ -118,14 +118,24 @@ class OperatorPoint:
         a = np.ascontiguousarray(matrix, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-        if not np.isfinite(a).all():
+        # NaN and inf propagate into the largest modulus s; the squared
+        # norms of a / s cannot overflow
+        s = np.abs(a).max(initial=0.0)
+        if not math.isfinite(s):
             raise ValidationError("matrix has a non-finite entry")
-        defect = np.linalg.norm(a - a.conj().T)
-        if defect > _HERMITICITY_RTOL * max(np.linalg.norm(a), 1e-300):
+        b = (a.view(np.float64) / (s or 1.0)).view(np.complex128)
+        d = b - b.conj().T
+        defect2 = np.vdot(d, d).real
+        if defect2 > _HERMITICITY_RTOL**2 * np.vdot(b, b).real:
             raise ValidationError(
-                f"matrix is not self-adjoint: ||A - A*|| = {defect:.3e}"
+                f"matrix is not self-adjoint: ||A - A*|| = {math.sqrt(defect2) * s:.3e}"
             )
-        a = 0.5 * (a + a.conj().T)
+        # a + a* overflows for entries above 2**1022, a / 2 + a* / 2 cannot
+        if s <= 2.0**1022:
+            a = 0.5 * (a + a.conj().T)
+        else:
+            a = 0.5 * a
+            a = a + a.conj().T
         w, v = np.linalg.eigh(a)
         order = np.argsort(-w, kind="stable")
         w = w[order]

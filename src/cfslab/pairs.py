@@ -1,13 +1,16 @@
-"""Batched all-pairs causal analysis over a regular system.
+"""Batched all-pairs causal analysis over a system.
 
 Every unordered pair needs the spectrum of the product of the two operators
-restricted to the image of the first one.  For a regular system of spin
-dimension ``n`` that is one dense ``2n x 2n`` eigenproblem per pair, built
-from the overlap matrix of the two image bases; the full ``f x f`` product is
-never formed.  Work proceeds over fixed-size blocks of the pair matrix,
-spread over a pool of threads, so that results are bit-identical no matter
-how many worker threads are used.  The batched products and eigenproblems
-release the interpreter lock, so the threads run in parallel.
+restricted to the image of the first one.  For a system of spin dimension
+``n`` that is one dense ``2n x 2n`` eigenproblem per pair, built from the
+overlap matrix of the two image bases; the full ``f x f`` product is never
+formed.  A singular point fills its image basis and eigenvalues up to the
+``2n`` slots with zeros, which add only zero eigenvalues to the product: the
+padding :func:`cfslab.core.product_spectrum` applies.  Work proceeds over
+fixed-size blocks of the pair matrix, spread over a pool of threads, so that
+results are bit-identical no matter how many worker threads are used.  The
+batched products and eigenproblems release the interpreter lock, so the
+threads run in parallel.
 """
 
 from __future__ import annotations
@@ -76,20 +79,23 @@ def _block_pairs(n_points: int):
             yield edges[bi], edges[bi + 1], edges[bj], edges[bj + 1]
 
 
+def _overlaps(bases, i0, i1, j0, j1):
+    """Overlap G[i, j] = B_i^+ B_j of a block, shape (ni, nj, r, r).
+
+    One small GEMM per pair, which BLAS runs single-threaded, so worker
+    threads do not contend for BLAS's own thread pool.
+    """
+    return bases[i0:i1].conj().swapaxes(1, 2)[:, None] @ bases[j0:j1][None]
+
+
 def _compute_block(state, i0, i1, j0, j1):
     """Pair quantities for one block of (row, column) point indices."""
-    bases = state["bases"]
     lams = state["lams"]
     srad = state["srad"]
     eig_rel = state["eig_rel"]
     imag_rel = state["imag_rel"]
 
-    bi = bases[i0:i1]
-    bj = bases[j0:j1]
-    # Overlap G[i, j] = B_i^+ B_j, shape (ni, nj, r, r): one small GEMM per
-    # pair, which BLAS runs single-threaded, so worker threads do not
-    # contend for BLAS's own thread pool.
-    g = bi.conj().swapaxes(1, 2)[:, None] @ bj[None]
+    g = _overlaps(state["bases"], i0, i1, j0, j1)
     gh = g.conj().swapaxes(-1, -2)
     lx = lams[i0:i1]
     ly = lams[j0:j1]
@@ -118,42 +124,49 @@ def _compute_block(state, i0, i1, j0, j1):
     orient = np.zeros(cvals.shape, dtype=np.int8)
     orient[cvals > thr] = 1
     orient[cvals < -thr] = -1
+    return codes, orient, cvals, specrad
 
-    if i0 == j0:
-        # Self pairs: the functional is antisymmetric, hence exactly zero.
-        d = np.arange(i1 - i0)
-        cvals[d, d] = 0.0
-        orient[d, d] = 0
-    return i0, j0, codes, orient, cvals, specrad
+
+def _adjointness_block(state, i0, i1, j0, j1):
+    """Relative defect of the kernel adjointness P(x, y)* = P(y, x) on a block.
+
+    With P(x, y) = G_xy diag(l_y) and the spin Gram matrix diag(-l), the
+    relation diag(-l_y) P(y, x) = P(x, y)^+ diag(-l_x) has the defect
+    diag(l_y) (G_yx - G_xy^+) diag(l_x): multiplied through rather than
+    divided by the Gram matrix, whose padded slots are zero.  Each order's
+    overlap comes from its own GEMM.
+    """
+    lams, srad = state["lams"], state["srad"]
+    g_xy = _overlaps(state["bases"], i0, i1, j0, j1)
+    g_yx = _overlaps(state["bases"], j0, j1, i0, i1).swapaxes(0, 1)
+    e = g_yx - g_xy.conj().swapaxes(-1, -2)
+    e *= lams[None, j0:j1, :, None] * lams[i0:i1, None, None, :]
+    scale = np.maximum(1.0, srad[i0:i1, None] * srad[None, j0:j1])
+    return (np.linalg.norm(e, axis=(-2, -1)) / scale,)
 
 
 class PairEngine:
-    """Vectorized pair analysis for a regular system.
+    """Vectorized pair analysis for any system, singular points included.
 
     Parameters
     ----------
     system : CausalFermionSystem
-        Must be regular (every point of rank ``2 n``); singular systems need
-        the per-pair functions from :mod:`cfslab.core`.
     workers : int, optional
         Thread count; ``None`` resolves via CFSLAB_WORKERS / cpu count.
     """
 
     def __init__(self, system: CausalFermionSystem, workers=None):
-        if not system.is_regular():
-            raise ValidationError(
-                "PairEngine needs a regular system; use restrict_to_regular "
-                "or the per-pair functions in cfslab.core"
-            )
         self.system = system
         self.workers = resolve_workers(workers)
         r = 2 * system.n
         n_pts = len(system)
-        bases = np.empty((n_pts, system.f, r), dtype=np.complex128)
-        lams = np.empty((n_pts, r), dtype=np.float64)
+        bases = np.zeros((n_pts, system.f, r), dtype=np.complex128)
+        lams = np.zeros((n_pts, r), dtype=np.float64)
         for k, entry in enumerate(system.points):
-            bases[k] = entry.op.image_basis()
-            lams[k] = entry.op.nonzero_eigenvalues()
+            # A singular point leaves its last 2n - rank slots zero.
+            rank = entry.op.rank
+            bases[k, :, :rank] = entry.op.image_basis()
+            lams[k, :rank] = entry.op.nonzero_eigenvalues()
         self._state = {
             "bases": bases,
             "lams": lams,
@@ -162,43 +175,43 @@ class PairEngine:
             "imag_rel": system.tolerances.imag_rel,
         }
 
-    def analyze(self) -> PairAnalysis:
+    def _map_blocks(self, block, dtypes):
+        """Arrays of ``block``'s outputs, filled tile by tile on and above
+        the diagonal; zero below it."""
         n_pts = len(self.system)
-        codes = np.zeros((n_pts, n_pts), dtype=np.uint8)
-        orient = np.zeros((n_pts, n_pts), dtype=np.int8)
-        cvals = np.zeros((n_pts, n_pts), dtype=np.float64)
-        specrad = np.zeros((n_pts, n_pts), dtype=np.float64)
-
+        outs = [np.zeros((n_pts, n_pts), dtype=dt) for dt in dtypes]
         tasks = list(_block_pairs(n_pts))
         with ThreadPoolExecutor(max_workers=min(self.workers, len(tasks))) as pool:
-            results = pool.map(lambda t: _compute_block(self._state, *t), tasks)
+            results = pool.map(lambda t: block(self._state, *t), tasks)
+            for (i0, i1, j0, j1), parts in zip(tasks, results):
+                for out, part in zip(outs, parts):
+                    out[i0:i1, j0:j1] = part
+        return outs
 
-        for i0, j0, bc, bo, bcv, bsr in results:
-            ni, nj = bc.shape
-            codes[i0 : i0 + ni, j0 : j0 + nj] = bc
-            orient[i0 : i0 + ni, j0 : j0 + nj] = bo
-            cvals[i0 : i0 + ni, j0 : j0 + nj] = bcv
-            specrad[i0 : i0 + ni, j0 : j0 + nj] = bsr
-            if i0 != j0:
-                # Pair quantities are computed once on the id-ordered
-                # representative; the mirror entries follow from the exact
-                # symmetries (spectrum symmetric, time direction antisymmetric).
-                codes[j0 : j0 + nj, i0 : i0 + ni] = bc.T
-                orient[j0 : j0 + nj, i0 : i0 + ni] = -bo.T
-                cvals[j0 : j0 + nj, i0 : i0 + ni] = -bcv.T
-                specrad[j0 : j0 + nj, i0 : i0 + ni] = bsr.T
-            else:
-                iu = np.triu_indices(ni, k=1)
-                codes[i0 : i0 + ni, j0 : j0 + nj].T[iu] = bc[iu]
-                orient[i0 : i0 + ni, j0 : j0 + nj].T[iu] = -bo[iu]
-                cvals[i0 : i0 + ni, j0 : j0 + nj].T[iu] = -bcv[iu]
-                specrad[i0 : i0 + ni, j0 : j0 + nj].T[iu] = bsr[iu]
-
+    def analyze(self) -> PairAnalysis:
+        codes, orient, cvals, specrad = self._map_blocks(
+            _compute_block, (np.uint8, np.int8, np.float64, np.float64)
+        )
+        # The time direction is antisymmetric: zero on self pairs, and below
+        # the diagonal, like the symmetric spectrum, a mirror of the entries
+        # computed on the id-ordered representative.
+        np.fill_diagonal(cvals, 0.0)
+        np.fill_diagonal(orient, 0)
+        lower = np.tri(len(self.system), k=-1, dtype=bool)
         return PairAnalysis(
             ids=self.system.ids,
-            codes=codes,
-            orientation=orient,
-            cvals=cvals,
-            specrad=specrad,
+            codes=np.where(lower, codes.T, codes),
+            orientation=np.where(lower, -orient.T, orient),
+            cvals=np.where(lower, -cvals.T, cvals),
+            specrad=np.where(lower, specrad.T, specrad),
             tolerances=self.system.tolerances,
         )
+
+    def kernel_adjointness(self) -> np.ndarray:
+        """Relative defect of the adjointness P(x, y)* = P(y, x) of the kernels.
+
+        Entry (i, j) for i < j holds the Frobenius norm of the defect for
+        (x_i, x_j) over max(1, |x_i| |x_j|); the rest of the matrix is zero.
+        """
+        (rel,) = self._map_blocks(_adjointness_block, (np.float64,))
+        return np.triu(rel, 1)

@@ -7,15 +7,32 @@ import scipy.linalg
 from cfslab.core import CausalFermionSystem, OperatorPoint
 
 
+def random_point(f, pos, neg, rng, lam_lo=0.5, lam_hi=2.0):
+    """Random self-adjoint operator with ``pos`` positive and ``neg`` negative
+    eigenvalues in [lam_lo, lam_hi] magnitude."""
+    a = rng.normal(size=(f, pos + neg)) + 1j * rng.normal(size=(f, pos + neg))
+    q, _ = np.linalg.qr(a)
+    lam = np.concatenate(
+        [rng.uniform(lam_lo, lam_hi, pos), -rng.uniform(lam_lo, lam_hi, neg)]
+    )
+    return OperatorPoint((q * lam) @ q.conj().T)
+
+
 def random_regular_point(f, n, rng, lam_lo=0.5, lam_hi=2.0):
     """Random rank-2n self-adjoint operator with n positive and n negative
     eigenvalues in [lam_lo, lam_hi] magnitude."""
-    a = rng.normal(size=(f, 2 * n)) + 1j * rng.normal(size=(f, 2 * n))
-    q, _ = np.linalg.qr(a)
-    lam = np.concatenate(
-        [rng.uniform(lam_lo, lam_hi, n), -rng.uniform(lam_lo, lam_hi, n)]
-    )
-    return OperatorPoint((q * lam) @ q.conj().T)
+    return random_point(f, n, n, rng, lam_lo, lam_hi)
+
+
+def mixed_rank_system(n_points, f, n, rng):
+    """System whose signatures cycle through every (pos, neg) up to (n, n),
+    so ranks run from 0 to 2n."""
+    sigs = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+    pts = [
+        (f"p{k:04d}", 1.0, random_point(f, *sigs[k % len(sigs)], rng))
+        for k in range(n_points)
+    ]
+    return CausalFermionSystem(n, pts)
 
 
 def random_regular_system(n_points, f, n, rng, weights=None):

@@ -129,7 +129,10 @@ class TestBuildGraph:
                 pts.append(
                     (f"b{k}", 1.0, nearby_point(pts[0][2], rng, rotation=0.3))
                 )
+            # a singular point of rank 2 < 2n
+            pts.append(("s", 1.0, nearby_point(pts[0][2], rng, rotation=0.3, n=1)))
             system = CausalFermionSystem(2, pts)
+            assert not system.is_regular()
             graph = build_causal_graph(system, scales)
             tol = system.tolerances
             edges = {(u, v): w for u, v, w in graph.edges()}

@@ -58,6 +58,17 @@ class TestOperatorPoint:
         with pytest.raises(ValidationError, match="non-finite"):
             OperatorPoint(m)
 
+    def test_rejects_non_hermitian_near_float64_limit(self):
+        # the Frobenius norms of this matrix overflow unless taken scaled
+        with pytest.raises(ValidationError, match="not self-adjoint"):
+            OperatorPoint(np.array([[1e200, 1e200], [0.0, 1e200]]))
+
+    def test_entries_near_float64_limit_stay_finite(self):
+        x = OperatorPoint(np.diag([1.7e308, -1.0, 0.0]))
+        assert np.isfinite(x.matrix).all()
+        assert x.matrix[0, 0] == 1.7e308
+        assert x.eigenvalues[0] == 1.7e308
+
     def test_singular_rank(self):
         assert not OperatorPoint(np.diag([2.0, 0.0])).is_regular(1)
         x = np.zeros((4, 4))

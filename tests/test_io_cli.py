@@ -13,13 +13,25 @@ from hypothesis import strategies as st
 
 from cfslab.causal import CausalGraph, LengthScales, distance_matrix
 from cfslab.cli import _with_tolerances, build_parser, main, validate_system
-from cfslab.core import CausalFermionSystem, OperatorPoint, Tolerances
+from cfslab import pairs
+from cfslab.core import (
+    CausalFermionSystem,
+    OperatorPoint,
+    Tolerances,
+    classify,
+    time_orientation,
+)
 from cfslab.errors import ValidationError
 from cfslab.io import _matrix_from_entry, read_system, system_to_json, write_system
 from cfslab.pairs import PairAnalysis
 from cfslab.reports import classification_csv, distance_csv, fmt, order_csv
 
-from conftest import nearby_point, random_regular_point, random_regular_system
+from conftest import (
+    mixed_rank_system,
+    nearby_point,
+    random_regular_point,
+    random_regular_system,
+)
 
 
 def _pairs(values) -> list:
@@ -607,10 +619,73 @@ class TestCli:
         assert len(system) == 3
         assert system.ids == ("m0:p0000", "m0:p0001", "m1:p0000")
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_singular_sea_commands(self, tmp_path):
+        # kmax=0 gives f=2 with n=2, so every point has rank 2 < 2n
+        config = {
+            "kind": "minkowski",
+            "mass": 1.0,
+            "kmax": 0,
+            "sample_points": [[0, 0, 0, 0], [0.2, 0, 0, 0], [0.4, 0.05, 0, 0], [0.1, 0.3, 0, 0]],
+        }
+        cfg_path = tmp_path / "sea0.json"
+        cfg_path.write_text(json.dumps(config))
+        path = tmp_path / "sea0_system.json"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(path)]) == 0
+        system = read_system(path)
+        assert not system.is_regular()
+        out = tmp_path / "out"
+        assert main(["classify", "--system", str(path), "--out", str(out)]) == 0
+        window = ["--lmin", "1.0", "--lmax", "20.0", "--out", str(out)]
+        assert main(["distance", "--system", str(path), *window]) == 0
+        assert main(["lattice", "--system", str(path), *window]) == 0
+        lines = (out / "classification.csv").read_text().splitlines()
+        rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+        sign = {1: "+", 0: "0", -1: "-"}
+        tol = system.tolerances
+        for i, ex in enumerate(system.points):
+            for j, ey in enumerate(system.points):
+                if i != j:
+                    cls = classify(ex.op, ey.op, tol, n=system.n).symbol
+                    assert rows[i][j + 1] == cls + sign[time_orientation(ex.op, ey.op, tol)]
+
     def test_validate_catches_violation(self):
         rng = np.random.default_rng(83)
         system = random_regular_system(3, 8, 2, rng)
         assert validate_system(system) == []
+        assert validate_system(mixed_rank_system(40, 6, 2, rng)) == []
+
+    @pytest.mark.parametrize("first, second", [(2, 35), (35, 2)])
+    # _compute_block returns (codes, orient, cvals, specrad)
+    @pytest.mark.parametrize(
+        "field, message", [(2, "antisymmetry defect"), (0, "classification asymmetry")]
+    )
+    def test_validate_computes_both_orders(self, monkeypatch, first, second, field, message):
+        # Corrupt the kernel's result for the one ordered pair (x, y); the
+        # pair is computed directly in one of the two runs and mirrored in
+        # the other, so only a check of both orders sees the corruption.
+        rng = np.random.default_rng(86)
+        system = random_regular_system(40, 6, 2, rng)
+        x, y = system.points[first].op, system.points[second].op
+        lx, ly = x.nonzero_eigenvalues(), y.nonzero_eigenvalues()
+        compute = pairs._compute_block
+
+        def corrupted(state, i0, i1, j0, j1):
+            out = compute(state, i0, i1, j0, j1)
+            lams = state["lams"]
+            for a in range(i0, i1):
+                for b in range(j0, j1):
+                    if np.array_equal(lams[a], lx) and np.array_equal(lams[b], ly):
+                        # the next class for codes, a change of 1 or 2 for cvals
+                        block = out[field]
+                        block[a - i0, b - j0] = (block[a - i0, b - j0] + 1) % 3
+            return out
+
+        monkeypatch.setattr(pairs, "_compute_block", corrupted)
+        failures = validate_system(system)
+        ids = sorted([system.ids[first], system.ids[second]])
+        assert len(failures) == 1
+        assert failures[0].startswith(f"pair ({ids[0]},{ids[1]}): {message}")
 
 
 class TestIoCrossCheck:

@@ -15,9 +15,8 @@ from cfslab.core import (
 )
 from cfslab.errors import ValidationError
 from cfslab.pairs import PairEngine, resolve_workers
-from cfslab.core import CausalFermionSystem, OperatorPoint
 
-from conftest import random_regular_system
+from conftest import mixed_rank_system, random_regular_system
 
 _CLS = {0: CausalClass.SPACELIKE, 1: CausalClass.TIMELIKE, 2: CausalClass.LIGHTLIKE}
 
@@ -100,11 +99,24 @@ class TestEngineAgainstCore:
             assert got is not None
             assert_identical(got, want)
 
-    def test_requires_regular_system(self):
-        singular = OperatorPoint(np.diag([1.0, 0.0, 0.0, -1.0]))
-        system = CausalFermionSystem(2, [("a", 1.0, singular)])
-        with pytest.raises(ValidationError):
-            PairEngine(system)
+    def test_singular_points_match_per_pair_functions(self):
+        # ranks 0 to 4 over 40 points, which span two 32-wide tiles
+        rng = np.random.default_rng(95)
+        system = mixed_rank_system(40, 6, 2, rng)
+        assert {e.op.rank for e in system.points} == {0, 1, 2, 3, 4}
+        res = PairEngine(system, workers=2).analyze()
+        tol = system.tolerances
+        for i, ei in enumerate(system.points):
+            for j, ej in enumerate(system.points):
+                if i == j:
+                    continue
+                x, y = ei.op, ej.op
+                assert _CLS[res.codes[i, j]] is classify(x, y, tol, n=2)
+                assert res.orientation[i, j] == time_orientation(x, y, tol)
+                c = time_direction(x, y)
+                assert res.cvals[i, j] == pytest.approx(c, rel=1e-9, abs=1e-12)
+                sr = np.abs(product_spectrum(x, y, 2)).max()
+                assert res.specrad[i, j] == pytest.approx(sr, rel=1e-9, abs=1e-300)
 
 
 class TestWorkerResolution:
