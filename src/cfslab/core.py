@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _HERMITICITY_RTOL = 1e-12
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -87,13 +88,105 @@ class CausalClass(enum.Enum):
         return self.value
 
 
+def _hermitian(matrix) -> np.ndarray:
+    """``matrix`` as a symmetrized complex128 array.
+
+    Refused unless it is square, finite and equal to its conjugate transpose
+    within ``1e-12 * ||matrix||_F``.
+    """
+    a = np.ascontiguousarray(matrix, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    # NaN and inf propagate into the largest modulus s; the squared
+    # norms of a / s cannot overflow
+    s = np.abs(a).max(initial=0.0)
+    if not math.isfinite(s):
+        raise ValidationError("matrix has a non-finite entry")
+    b = (a.view(np.float64) / (s or 1.0)).view(np.complex128)
+    d = b - b.conj().T
+    defect2 = np.vdot(d, d).real
+    if defect2 > _HERMITICITY_RTOL**2 * np.vdot(b, b).real:
+        raise ValidationError(
+            f"matrix is not self-adjoint: ||A - A*|| = {math.sqrt(defect2) * s:.3e}"
+        )
+    # a + a* overflows for entries above 2**1022, a / 2 + a* / 2 cannot
+    if s <= 2.0**1022:
+        return 0.5 * (a + a.conj().T)
+    a = 0.5 * a
+    return a + a.conj().T
+
+
+def _cut(tol: Tolerances, radius: float) -> float:
+    """Largest eigenvalue modulus that counts as zero."""
+    return tol.zero_abs * max(1.0, radius)
+
+
+def _eigh_parts(a: np.ndarray, tol: Tolerances):
+    """Image basis, nonzero eigenvalues (descending) and spectral radius of a
+    Hermitian matrix from its full eigendecomposition."""
+    w, v = np.linalg.eigh(a)
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
+    radius = float(np.abs(w).max(initial=0.0))
+    keep = np.abs(w) > _cut(tol, radius)
+    return np.ascontiguousarray(v[:, order[keep]]), w[keep], radius
+
+
+# Range finder: columns of the test matrix beyond the rank bound, and the
+# seed that fixes the test matrix.
+_OVERSAMPLE = 4
+_RANGE_SEED = 20110101
+
+
+def _range_parts(a: np.ndarray, max_rank: int, tol: Tolerances):
+    """The parts :func:`_eigh_parts` returns, from a randomized range finder
+    (Halko, Martinsson and Tropp, SIAM Review 53, 2011), or None.
+
+    With Q an orthonormal basis of ``A Omega`` for a fixed Gaussian test
+    matrix Omega of ``k = max_rank + 4`` columns and ``T = Q^+ A Q``, the
+    residual ``R = A - Q T Q^+`` bounds how far each eigenvalue of A lies from
+    the matching one of T padded with f - k zeros (Weyl: ``||R||_2 <=
+    ||R||_F``).  The rank decision is the one a full ``eigh`` makes when the
+    padding zeros and every Ritz value stay clear of the cut by that bound
+    plus a rounding allowance ``f eps ||A||_F``; otherwise None is returned.
+    So is it below ``f = 4 k``, where the full ``eigh`` costs less.
+    """
+    f = a.shape[0]
+    k = max_rank + _OVERSAMPLE
+    if f < 4 * k:
+        return None
+    omega = np.random.default_rng(_RANGE_SEED).standard_normal((f, k))
+    # huge entries may overflow below; the check then fails on inf or NaN
+    with np.errstate(all="ignore"):
+        q, _ = np.linalg.qr(a @ omega)
+        t = q.conj().T @ (a @ q)
+        t = 0.5 * (t + t.conj().T)
+        if not np.isfinite(t).all():
+            return None
+        theta, s = np.linalg.eigh(t)
+        residual = np.linalg.norm(a - (q @ t) @ q.conj().T)
+        margin = (1.0 + tol.zero_abs) * residual + f * _EPS * np.linalg.norm(a)
+    order = np.argsort(-theta, kind="stable")
+    theta = theta[order]
+    radius = float(np.abs(theta).max())
+    cut = _cut(tol, radius)
+    clear = margin < cut and bool(np.all(np.abs(np.abs(theta) - cut) > margin))
+    if not clear:
+        return None
+    keep = np.abs(theta) > cut
+    return np.ascontiguousarray(q @ s[:, order[keep]]), theta[keep], radius
+
+
 class OperatorPoint:
     """A self-adjoint finite-rank operator given as a dense matrix.
 
-    The eigendecomposition is computed once at construction (LAPACK ``eigh``,
-    deterministic for fixed input) and cached; eigenvalues are stored in
-    descending order.  Eigenvalues of magnitude at most
-    ``zero_abs * max(1, spectral radius)`` count as zero.
+    A point keeps its matrix, an orthonormal basis of its image, its nonzero
+    eigenvalues in descending order (positives, then negatives) and its
+    spectral radius.  Eigenvalues of magnitude at most
+    ``zero_abs * max(1, spectral radius)`` count as zero.  The constructor
+    takes them from a full eigendecomposition (LAPACK ``eigh``,
+    deterministic for fixed input); :meth:`with_rank_bound` does the same
+    for matrices of known small rank without one.
 
     Parameters
     ----------
@@ -105,48 +198,49 @@ class OperatorPoint:
 
     __slots__ = (
         "matrix",
-        "eigenvalues",
-        "eigenvectors",
+        "spectral_radius",
         "rank",
         "pos_eigs",
         "neg_eigs",
+        "_basis",
+        "_eigenvalues",
         "_spin",
     )
 
     def __init__(self, matrix, tol: Tolerances | None = None):
+        a = _hermitian(matrix)
+        self._build(a, *_eigh_parts(a, tol or DEFAULT_TOL))
+
+    @classmethod
+    def with_rank_bound(cls, matrix, max_rank: int, tol: Tolerances | None = None):
+        """The point of ``matrix``, expected to have rank at most ``max_rank``.
+
+        Decides the rank as the constructor does, but for ``f`` well above
+        ``max_rank`` reads the image from a randomized range finder instead
+        of an ``f x f`` eigendecomposition, falling back to the latter
+        whenever the finder cannot certify the rank.  Eigenvalues and the
+        projector onto the image agree with the constructor's to rounding;
+        within a degenerate eigenspace the basis may differ.
+        """
         tol = tol or DEFAULT_TOL
-        a = np.ascontiguousarray(matrix, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-        # NaN and inf propagate into the largest modulus s; the squared
-        # norms of a / s cannot overflow
-        s = np.abs(a).max(initial=0.0)
-        if not math.isfinite(s):
-            raise ValidationError("matrix has a non-finite entry")
-        b = (a.view(np.float64) / (s or 1.0)).view(np.complex128)
-        d = b - b.conj().T
-        defect2 = np.vdot(d, d).real
-        if defect2 > _HERMITICITY_RTOL**2 * np.vdot(b, b).real:
-            raise ValidationError(
-                f"matrix is not self-adjoint: ||A - A*|| = {math.sqrt(defect2) * s:.3e}"
-            )
-        # a + a* overflows for entries above 2**1022, a / 2 + a* / 2 cannot
-        if s <= 2.0**1022:
-            a = 0.5 * (a + a.conj().T)
-        else:
-            a = 0.5 * a
-            a = a + a.conj().T
-        w, v = np.linalg.eigh(a)
-        order = np.argsort(-w, kind="stable")
-        w = w[order]
-        v = v[:, order]
-        cut = tol.zero_abs * max(1.0, np.abs(w).max(initial=0.0))
-        self.matrix = a
-        self.eigenvalues = w
-        self.eigenvectors = v
-        self.pos_eigs = int(np.count_nonzero(w > cut))
-        self.neg_eigs = int(np.count_nonzero(w < -cut))
-        self.rank = self.pos_eigs + self.neg_eigs
+        a = _hermitian(matrix)
+        x = cls.__new__(cls)
+        x._build(a, *(_range_parts(a, max_rank, tol) or _eigh_parts(a, tol)))
+        return x
+
+    def _build(self, matrix, basis, eigenvalues, radius):
+        """The one constructor: a Hermitian matrix, the f x rank orthonormal
+        basis of its image, the nonzero eigenvalues in descending order and
+        the spectral radius.  The arrays are made read-only."""
+        basis.flags.writeable = False
+        eigenvalues.flags.writeable = False
+        self.matrix = matrix
+        self._basis = basis
+        self._eigenvalues = eigenvalues
+        self.spectral_radius = radius
+        self.pos_eigs = int(np.count_nonzero(eigenvalues > 0))
+        self.neg_eigs = eigenvalues.size - self.pos_eigs
+        self.rank = eigenvalues.size
         self._spin = None
 
     @property
@@ -154,37 +248,25 @@ class OperatorPoint:
         """Dimension of the ambient Hilbert space."""
         return self.matrix.shape[0]
 
-    @property
-    def spectral_radius(self) -> float:
-        return float(np.abs(self.eigenvalues).max(initial=0.0))
-
     def is_regular(self, n: int) -> bool:
         """True iff the point has the maximal rank ``2 n``."""
         return self.rank == 2 * n
 
     def nonzero_eigenvalues(self) -> np.ndarray:
         """Nonzero eigenvalues in descending order (positives then negatives)."""
-        return np.concatenate(
-            [self.eigenvalues[: self.pos_eigs], self.eigenvalues[self.f - self.neg_eigs :]]
-        )
+        return self._eigenvalues
 
     def image_basis(self) -> np.ndarray:
         """Orthonormal basis of the image, one column per nonzero eigenvalue."""
-        return np.concatenate(
-            [
-                self.eigenvectors[:, : self.pos_eigs],
-                self.eigenvectors[:, self.f - self.neg_eigs :],
-            ],
-            axis=1,
-        )
+        return self._basis
 
     def spin_space(self) -> "SpinSpace":
         """Spin space of the point (cached)."""
         if self._spin is None:
-            basis = self.image_basis()
-            lam = self.nonzero_eigenvalues()
             self._spin = SpinSpace(
-                point=self, basis=basis, gram=np.diag(-lam).astype(np.complex128)
+                point=self,
+                basis=self._basis,
+                gram=np.diag(-self._eigenvalues).astype(np.complex128),
             )
         return self._spin
 
@@ -361,9 +443,12 @@ def product_spectrum(x: OperatorPoint, y: OperatorPoint, n: int) -> np.ndarray:
     """Nontrivial eigenvalues of the product ``x y``, zero-padded to ``2 n``.
 
     The product is restricted to the image of ``x`` (an invariant subspace
-    containing every eigenvector with nonzero eigenvalue), so only a dense
-    non-Hermitian eigenproblem of size ``rank(x)`` is solved; the full
-    ``f x f`` product is never formed.
+    containing every eigenvector with nonzero eigenvalue) and built from the
+    two points' factors: with the overlap ``G = Bx^+ By`` of their image
+    bases it is ``diag(lx) G diag(ly) G^+``, as in
+    :class:`cfslab.pairs.PairEngine`.  So only a dense non-Hermitian
+    eigenproblem of size ``rank(x)`` is solved, the full ``f x f`` product
+    is never formed, and eigenvalues of ``y`` below the cut do not enter.
 
     Returns
     -------
@@ -378,9 +463,8 @@ def product_spectrum(x: OperatorPoint, y: OperatorPoint, n: int) -> np.ndarray:
     out = np.zeros(slots, dtype=np.complex128)
     if x.rank == 0 or y.rank == 0:
         return out
-    bx = x.image_basis()
-    lam = x.nonzero_eigenvalues()
-    m = lam[:, None] * (bx.conj().T @ (y.matrix @ bx))
+    g = x.image_basis().conj().T @ y.image_basis()
+    m = (x.nonzero_eigenvalues()[:, None] * g * y.nonzero_eigenvalues()) @ g.conj().T
     out[: x.rank] = np.linalg.eigvals(m)
     return out
 

@@ -145,5 +145,10 @@ def read_system(path) -> CausalFermionSystem:
         raise ValidationError(f"malformed system file: {exc}") from None
     if not entries:
         raise ValidationError("system file has no points")
-    points = [(pid, w, OperatorPoint(m, tolerances)) for pid, w, m in entries]
+    # a point has rank at most 2n; the range finder reads its image without
+    # an f x f eigendecomposition unless it cannot certify the rank
+    points = [
+        (pid, w, OperatorPoint.with_rank_bound(m, 2 * n, tolerances))
+        for pid, w, m in entries
+    ]
     return CausalFermionSystem(n, points, tolerances=tolerances, metadata=metadata)

@@ -43,6 +43,14 @@ def random_regular_system(n_points, f, n, rng, weights=None):
     return CausalFermionSystem(n, pts)
 
 
+def sorted_eigenvectors(x):
+    """All f eigenvectors of ``x``, ordered as ``OperatorPoint`` orders its
+    eigenvalues (descending), so the null-space columns sit between the
+    positive and the negative ones."""
+    w, v = np.linalg.eigh(x.matrix)
+    return v[:, np.argsort(-w, kind="stable")]
+
+
 def nearby_point(x, rng, rotation=0.1, n=None):
     """A regular point with slightly rotated eigenbasis and fresh eigenvalues.
 
@@ -54,7 +62,7 @@ def nearby_point(x, rng, rotation=0.1, n=None):
     k = rng.normal(size=(f, f)) + 1j * rng.normal(size=(f, f))
     k = 0.5 * (k - k.conj().T)
     w = scipy.linalg.expm(rotation * k)
-    basis = w @ x.eigenvectors[:, : 2 * n]
+    basis = w @ sorted_eigenvectors(x)[:, : 2 * n]
     lam = np.concatenate(
         [rng.uniform(0.8, 1.8, n), -rng.uniform(0.8, 1.8, n)]
     )
@@ -88,6 +96,20 @@ def match_multisets(u, v, rtol, atol=0.0):
             return False
         v.pop(j)
     return True
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """Shapes of the matrices ``np.linalg.eigh`` is called on in the test."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return shapes
 
 
 @pytest.fixture(scope="session")

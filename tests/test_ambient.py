@@ -13,7 +13,7 @@ from cfslab.ambient import (
 from cfslab.core import OperatorPoint
 from cfslab.errors import DimensionMismatchError, LeftManifoldError, ValidationError
 
-from conftest import random_regular_point
+from conftest import random_regular_point, sorted_eigenvectors
 
 
 def random_tangent(x, rng, scale=1.0):
@@ -106,7 +106,7 @@ class TestProjection:
     def test_kernel_block_removed(self):
         rng = np.random.default_rng(66)
         x = random_regular_point(8, 2, rng)
-        nullb = x.eigenvectors[:, x.pos_eigs : x.f - x.neg_eigs]
+        nullb = sorted_eigenvectors(x)[:, x.pos_eigs : x.f - x.neg_eigs]
         h = rng.normal(size=(4, 4))
         h = h + h.T
         w = nullb @ h @ nullb.conj().T

@@ -1,5 +1,7 @@
 """Operator points, product spectra, causal classification, time direction."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from cfslab.errors import (
 from conftest import (
     full_product_spectrum,
     match_multisets,
+    random_point,
     random_regular_point,
     random_regular_system,
 )
@@ -67,7 +70,7 @@ class TestOperatorPoint:
         x = OperatorPoint(np.diag([1.7e308, -1.0, 0.0]))
         assert np.isfinite(x.matrix).all()
         assert x.matrix[0, 0] == 1.7e308
-        assert x.eigenvalues[0] == 1.7e308
+        assert x.nonzero_eigenvalues()[0] == 1.7e308
 
     def test_singular_rank(self):
         assert not OperatorPoint(np.diag([2.0, 0.0])).is_regular(1)
@@ -75,6 +78,54 @@ class TestOperatorPoint:
         x[0, 0] = x[1, 1] = 1.0
         x[2, 2] = -1.0
         assert not is_regular(OperatorPoint(x), 2)
+
+
+class TestRankBound:
+    """``OperatorPoint.with_rank_bound``: the constructor's rank decision
+    without an f x f eigendecomposition."""
+
+    @pytest.mark.parametrize("signature", [(2, 2), (2, 1), (0, 1), (0, 0)])
+    def test_agrees_with_constructor(self, signature, eigh_shapes):
+        rng = np.random.default_rng(61)
+        x = random_point(64, *signature, rng)
+        eigh_shapes.clear()
+        y = OperatorPoint.with_rank_bound(x.matrix, 4)
+        assert (64, 64) not in eigh_shapes
+        assert np.array_equal(y.matrix, x.matrix)
+        assert (y.pos_eigs, y.neg_eigs) == signature
+        lx, ly = x.nonzero_eigenvalues(), y.nonzero_eigenvalues()
+        assert np.abs(ly - lx).max(initial=0.0) <= 1e-12 * x.spectral_radius
+        assert y.spectral_radius == pytest.approx(x.spectral_radius, rel=1e-12, abs=1e-15)
+        bx, by = x.image_basis(), y.image_basis()
+        assert np.abs(by @ by.conj().T - bx @ bx.conj().T).max() <= 1e-12
+
+    def test_small_f_takes_eigh(self, eigh_shapes):
+        # below f = 4 (2n + 4) the full eigendecomposition is cheaper
+        x = random_regular_point(16, 2, np.random.default_rng(62))
+        eigh_shapes.clear()
+        y = OperatorPoint.with_rank_bound(x.matrix, 4)
+        assert eigh_shapes == [(16, 16)]
+        assert np.array_equal(y.image_basis(), x.image_basis())
+        assert np.array_equal(y.nonzero_eigenvalues(), x.nonzero_eigenvalues())
+
+    def test_huge_entries_fall_back_quietly(self, eigh_shapes):
+        # ||A||_F overflows, so the residual bound cannot certify the rank
+        m = 1e300 * random_regular_point(64, 2, np.random.default_rng(63)).matrix
+        x = OperatorPoint(m)
+        eigh_shapes.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = OperatorPoint.with_rank_bound(m, 4)
+        assert eigh_shapes.count((64, 64)) == 1
+        assert np.array_equal(y.image_basis(), x.image_basis())
+        assert np.array_equal(y.nonzero_eigenvalues(), x.nonzero_eigenvalues())
+
+    def test_factors_are_read_only(self):
+        x = random_regular_point(8, 2, np.random.default_rng(64))
+        with pytest.raises(ValueError):
+            x.image_basis()[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            x.nonzero_eigenvalues()[0] = 0.0
 
 
 class TestProductSpectrum:

@@ -5,6 +5,7 @@ import contextlib
 import copy
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from cfslab.causal import CausalGraph, LengthScales, distance_matrix
 from cfslab.cli import _with_tolerances, build_parser, main, validate_system
-from cfslab import pairs
+from cfslab import minkowski, pairs
 from cfslab.core import (
     CausalFermionSystem,
     OperatorPoint,
@@ -29,6 +30,7 @@ from cfslab.reports import classification_csv, distance_csv, fmt, order_csv
 from conftest import (
     mixed_rank_system,
     nearby_point,
+    random_point,
     random_regular_point,
     random_regular_system,
 )
@@ -201,6 +203,85 @@ class TestSystemFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError):
             read_system(path)
+
+
+class TestBoundedRankReader:
+    """Files are read without an f x f eigendecomposition where the range
+    finder can certify each point's rank, and with one where it cannot."""
+
+    def test_cut_boundary_falls_back_to_eigh(self, tmp_path, eigh_shapes):
+        # f = 48, n = 2: large enough for the range finder.  Diagonal points
+        # in a permuted basis have exact eigenvalues, here within 1e-15 of
+        # the cut 1e-12 but for the clear one.
+        f, cut = 48, Tolerances().zero_abs
+        spectra = {
+            "clear": [1.0, 0.5, -0.5, -1.0],
+            "above": [1.0, -1.0, 1.001 * cut],
+            "below": [1.0, -1.0, 0.999 * cut],
+            "neg_above": [1.0, -1.0, -1.001 * cut],
+            "neg_below": [1.0, -1.0, -0.999 * cut],
+        }
+        perm = np.random.default_rng(91).permutation(f)
+        points = []
+        for pid, lams in spectra.items():
+            diag = np.zeros(f)
+            diag[: len(lams)] = lams
+            points.append((pid, 1.0, OperatorPoint(np.diag(diag[perm]))))
+        system = CausalFermionSystem(2, points)
+        path = tmp_path / "cut.json"
+        write_system(system, path)
+        eigh_shapes.clear()
+        loaded = read_system(path)
+        assert eigh_shapes.count((f, f)) == len(spectra) - 1
+        assert [loaded.point(pid).rank for pid in spectra] == [4, 3, 2, 3, 2]
+        for e in loaded.points:
+            want = system.point(e.id)
+            assert (e.op.pos_eigs, e.op.neg_eigs) == (want.pos_eigs, want.neg_eigs)
+
+    def test_dirac_sea_file_matches_memory(self, tmp_path, eigh_shapes):
+        cfg = minkowski.MinkowskiConfig(
+            kmax=2,
+            sample_points=(
+                (0.0, 0.0, 0.0, 0.0),
+                (0.3, 0.1, -0.2, 0.05),
+                (-0.25, 0.2, 0.1, -0.3),
+                (0.1, -0.3, 0.25, 0.2),
+            ),
+        )
+        system = minkowski.build_system(cfg)
+        path = tmp_path / "sea.json"
+        write_system(system, path)
+        eigh_shapes.clear()
+        loaded = read_system(path)
+        assert system.f == 250 and (250, 250) not in eigh_shapes
+        for a, b in zip(system.points, loaded.points):
+            x, y = a.op, b.op
+            assert (y.pos_eigs, y.neg_eigs) == (x.pos_eigs, x.neg_eigs) == (2, 2)
+            lx, ly = x.nonzero_eigenvalues(), y.nonzero_eigenvalues()
+            assert np.abs(ly - lx).max() <= 1e-12 * x.spectral_radius
+            bx, by = x.image_basis(), y.image_basis()
+            assert np.abs(by @ by.conj().T - bx @ bx.conj().T).max() <= 1e-12
+        out = tmp_path / "reports"
+        assert main(["classify", "--system", str(path), "--out", str(out)]) == 0
+        assert (250, 250) not in eigh_shapes
+        want = classification_csv(pairs.PairEngine(system).analyze())
+        assert (out / "classification.csv").read_text() == want
+
+    @pytest.mark.parametrize("signature, full_eighs", [((2, 1), 0), ((5, 4), 1)])
+    def test_rank_above_2n_refused(self, signature, full_eighs, tmp_path, capsys, eigh_shapes):
+        # n = 1 reads a test matrix of 6 columns: rank 3 is certified, rank 9
+        # leaves a residual and takes the full eigendecomposition
+        x = random_point(48, *signature, np.random.default_rng(92))
+        with pytest.raises(ValidationError) as today:
+            CausalFermionSystem(1, [("a", 1.0, x)])
+        doc = json.loads(system_to_json(CausalFermionSystem(5, [("a", 1.0, x)])))
+        doc["n"] = 1
+        path = tmp_path / "rank.json"
+        path.write_text(json.dumps(doc))
+        eigh_shapes.clear()
+        assert main(["validate", "--system", str(path)]) == 1
+        assert eigh_shapes.count((48, 48)) == full_eighs
+        assert capsys.readouterr().err == f"error: {today.value}\n"
 
 
 class TestClassificationCsv:
@@ -655,6 +736,40 @@ class TestCli:
         assert validate_system(system) == []
         assert validate_system(mixed_rank_system(40, 6, 2, rng)) == []
 
+    def test_validate_checks_each_points_factors(self):
+        # a point whose eigenvalues are paired with the wrong basis columns
+        system = random_regular_system(3, 8, 2, np.random.default_rng(87))
+        x = system.points[1].op
+        bad = OperatorPoint.__new__(OperatorPoint)
+        bad._build(
+            x.matrix, x.image_basis()[:, ::-1].copy(), x.nonzero_eigenvalues().copy(),
+            x.spectral_radius,
+        )
+        points = [(e.id, e.weight, bad if e.op is x else e.op) for e in system.points]
+        failures = validate_system(CausalFermionSystem(2, points))
+        assert failures[0].startswith("point p0001: image basis and eigenvalues miss the matrix")
+        assert not any(f.startswith("point ") for f in failures[1:])
+
+    def test_numeric_failure_prints_one_line(self, tmp_path, capsys):
+        # entries of about 1e200 overflow in the pair kernel; numpy's
+        # floating-point warnings must not precede the failure line
+        big = np.diag([1e200, -1e200, 0.0])
+        coupling = np.zeros((3, 3))
+        coupling[0, 1] = coupling[1, 0] = 1e199
+        points = [("a", 1.0, OperatorPoint(big)), ("b", 1.0, OperatorPoint(big + coupling))]
+        path = tmp_path / "huge.json"
+        write_system(CausalFermionSystem(1, points), path)
+        for command in (
+            ["validate", "--system", str(path)],
+            ["classify", "--system", str(path), "--out", str(tmp_path)],
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(command) == 3
+            assert [w.category for w in caught] == []
+            err = capsys.readouterr().err
+            assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("first, second", [(2, 35), (35, 2)])
     # _compute_block returns (codes, orient, cvals, specrad)
     @pytest.mark.parametrize(
@@ -712,9 +827,16 @@ class TestIoCrossCheck:
 
 
 def _fuzz_documents() -> dict:
-    """A valid two-point system (f=3, n=1) as a version 1 and a version 2 document."""
+    """Valid two-point systems (n=1): at f=3 as a version 1 and a version 2
+    document, and at f=24, where the reader takes the range finder, as a
+    version 2 document."""
     system = random_regular_system(2, 3, 1, np.random.default_rng(89))
-    return {"1": _v1_doc(system), "2": json.loads(system_to_json(system))}
+    large = random_regular_system(2, 24, 1, np.random.default_rng(89))
+    return {
+        "1": _v1_doc(system),
+        "2": json.loads(system_to_json(system)),
+        "2, f=24": json.loads(system_to_json(large)),
+    }
 
 
 _FUZZ_DOCS = _fuzz_documents()
@@ -739,20 +861,20 @@ def _at(doc, path):
 @st.composite
 def mutated_files(draw) -> str:
     """The text of a valid system file after one mutation."""
-    version = draw(st.sampled_from(["1", "2"]))
-    doc = copy.deepcopy(_FUZZ_DOCS[version])
+    name = draw(st.sampled_from(sorted(_FUZZ_DOCS)))
+    doc = copy.deepcopy(_FUZZ_DOCS[name])
     kind = draw(st.sampled_from(["drop", "retype", "version", "truncate", "blob"]))
     if kind == "drop":
         parent, key = _at(doc, draw(st.sampled_from(_KEY_PATHS)))
         del parent[key]
     elif kind == "retype":
-        paths = _KEY_PATHS + (_PAIR_PATHS if version == "1" else [])
+        paths = _KEY_PATHS + (_PAIR_PATHS if name == "1" else [])
         parent, key = _at(doc, draw(st.sampled_from(paths)))
         parent[key] = draw(st.sampled_from(_VALUES))
     elif kind == "version":
         doc["version"] = draw(st.sampled_from(["1", "2", "3", "", 2, None]))
     elif kind == "blob":
-        doc = copy.deepcopy(_FUZZ_DOCS["2"])
+        doc = copy.deepcopy(_FUZZ_DOCS[draw(st.sampled_from(["2", "2, f=24"]))])
         point = doc["points"][draw(st.integers(0, 1))]
         blob = point["matrix"]
         k = draw(st.integers(0, len(blob) - 1))
@@ -768,6 +890,13 @@ def mutated_files(draw) -> str:
 
 
 class TestReaderFuzz:
+    def test_large_document_takes_the_range_finder(self, tmp_path, eigh_shapes):
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(_FUZZ_DOCS["2, f=24"]))
+        eigh_shapes.clear()
+        assert read_system(path).points[0].op.rank == 2
+        assert (24, 24) not in eigh_shapes
+
     @settings(max_examples=300, deadline=None, database=None)
     @given(text=mutated_files())
     def test_mutated_file_fails_cleanly(self, text, tmp_path_factory):

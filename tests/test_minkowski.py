@@ -86,7 +86,7 @@ class TestLocalCorrelation:
         assert x.rank == 1
         value = mk.evaluation_matrix(single, p, 1e-3)[:, 0]
         expected = -np.vdot(value, mk.GAMMA[0] @ value).real
-        assert abs(x.eigenvalues[np.argmax(np.abs(x.eigenvalues))] - expected) < 1e-12
+        assert abs(x.nonzero_eigenvalues()[0] - expected) < 1e-12
 
     def test_signature_bound(self):
         cfg = mk.MinkowskiConfig(kmax=1, sample_points=((0, 0, 0, 0),))
@@ -105,8 +105,8 @@ class TestLocalCorrelation:
         a = mk.local_correlation(modes, (0.2, 0.1, 0.0, 0.3), 1e-3)
         b = mk.local_correlation(modes, (0.2, 0.5, -0.2, 0.45), 1e-3)
         assert np.allclose(
-            np.sort(a.eigenvalues),
-            np.sort(b.eigenvalues),
+            np.linalg.eigvalsh(a.matrix),
+            np.linalg.eigvalsh(b.matrix),
             rtol=1e-10,
             atol=1e-10 * a.spectral_radius,
         )
@@ -118,7 +118,7 @@ class TestLocalCorrelation:
             prev = None
             for eps in (1e-3, 1e-2, 0.1, 0.4):
                 mags = np.sort(
-                    np.abs(mk.local_correlation(modes, p, eps).eigenvalues)
+                    np.abs(mk.local_correlation(modes, p, eps).nonzero_eigenvalues())
                 )[::-1][:4]
                 if prev is not None:
                     assert np.all(mags <= prev + 1e-15)

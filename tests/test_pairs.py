@@ -8,6 +8,8 @@ import pytest
 
 from cfslab.core import (
     CausalClass,
+    CausalFermionSystem,
+    OperatorPoint,
     classify,
     product_spectrum,
     time_direction,
@@ -16,7 +18,7 @@ from cfslab.core import (
 from cfslab.errors import ValidationError
 from cfslab.pairs import PairEngine, resolve_workers
 
-from conftest import mixed_rank_system, random_regular_system
+from conftest import mixed_rank_system, random_point, random_regular_system
 
 _CLS = {0: CausalClass.SPACELIKE, 1: CausalClass.TIMELIKE, 2: CausalClass.LIGHTLIKE}
 
@@ -117,6 +119,26 @@ class TestEngineAgainstCore:
                 assert res.cvals[i, j] == pytest.approx(c, rel=1e-9, abs=1e-12)
                 sr = np.abs(product_spectrum(x, y, 2)).max()
                 assert res.specrad[i, j] == pytest.approx(sr, rel=1e-9, abs=1e-300)
+
+    def test_rank_one_point_nearly_in_the_kernel(self):
+        # y = |v><v| with v in ker(x) up to a 1e-5 component in its image:
+        # xy has the real spectrum {lambda, 0, 0, 0} with |lambda| ~ 3e-10.
+        # Multiplying by the full matrix of y let its rounding, of order
+        # 1e-16, decide the class; the factors of y carry none of it.
+        rng = np.random.default_rng(0)
+        x = random_point(10, 2, 1, rng)
+        bx = x.image_basis()
+        k = rng.normal(size=10) + 1j * rng.normal(size=10)
+        k -= bx @ (bx.conj().T @ k)
+        v = k / np.linalg.norm(k) + 1e-5 * (bx[:, :2] @ (rng.normal(size=2) + 1j * rng.normal(size=2)))
+        y = OperatorPoint(np.outer(v, v.conj()) / np.vdot(v, v).real)
+        assert y.rank == 1
+        system = CausalFermionSystem(2, [("x", 1.0, x), ("y", 1.0, y)])
+        res = PairEngine(system, workers=1).analyze()
+        assert classify(x, y, system.tolerances, n=2) is CausalClass.TIMELIKE
+        assert _CLS[res.codes[0, 1]] is CausalClass.TIMELIKE
+        spectrum = product_spectrum(x, y, 2)
+        assert np.abs(spectrum.imag).max() <= 1e-12 * np.abs(spectrum).max()
 
 
 class TestWorkerResolution:

@@ -15,6 +15,7 @@ from conftest import (
     full_product_spectrum,
     match_multisets,
     random_regular_system,
+    sorted_eigenvectors,
 )
 
 
@@ -27,7 +28,7 @@ class TestWaveFunctions:
         u_in = x.image_basis() @ rng.normal(size=4)
         psi = cl.physical_wave_function(system, u_in)
         assert np.isclose(np.linalg.norm(psi["p0000"]), np.linalg.norm(u_in))
-        null_cols = x.eigenvectors[:, x.pos_eigs : x.f - x.neg_eigs]
+        null_cols = sorted_eigenvectors(x)[:, x.pos_eigs : x.f - x.neg_eigs]
         kernel_vec = null_cols @ rng.normal(size=null_cols.shape[1])
         psi0 = cl.physical_wave_function(system, kernel_vec)
         assert np.linalg.norm(psi0["p0000"]) < 1e-12
