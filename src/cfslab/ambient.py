@@ -32,7 +32,6 @@ class TangentVector:
 
     base: OperatorPoint
     matrix: np.ndarray
-    tangent: bool = True
 
     def __post_init__(self):
         m = self.matrix

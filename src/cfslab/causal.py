@@ -55,32 +55,14 @@ class LengthScales:
         return value if self.l_min < value < self.l_max else 0.0
 
 
-def _product_magnitude(x: OperatorPoint, y: OperatorPoint, norm: str) -> float:
-    if norm == "spectral":
-        n = max(x.pos_eigs, x.neg_eigs, y.pos_eigs, y.neg_eigs, 1)
-        return float(np.abs(product_spectrum(x, y, n)).max())
-    if norm == "operator":
-        # ||xy||_2 through the rank structure: right-multiplying by the
-        # orthonormal basis of image(y) preserves singular values.
-        m = (x.matrix @ y.image_basis()) * y.nonzero_eigenvalues()[None, :]
-        sv = np.linalg.svd(m, compute_uv=False)
-        return float(sv.max(initial=0.0))
-    raise ValidationError(f"unknown norm {norm!r}")
-
-
-def ell(
-    x: OperatorPoint,
-    y: OperatorPoint,
-    scales: LengthScales,
-    norm: str = "spectral",
-) -> float:
+def ell(x: OperatorPoint, y: OperatorPoint, scales: LengthScales) -> float:
     """Length functional: |xy|^(-1/6) windowed to (l_min, l_max), else 0.
 
-    ``|xy|`` is the spectral radius of the product by default; the operator
-    norm is available behind ``norm="operator"`` for comparison studies.  A
-    vanishing product (infinite nominal length) returns 0.
+    ``|xy|`` is the spectral radius of the product.  A vanishing product
+    (infinite nominal length) returns 0.
     """
-    mag = _product_magnitude(x, y, norm)
+    n = max(x.pos_eigs, x.neg_eigs, y.pos_eigs, y.neg_eigs, 1)
+    mag = float(np.abs(product_spectrum(x, y, n)).max())
     if mag <= 0.0:
         return 0.0
     return scales.windowed(mag ** (-1.0 / 6.0))

@@ -123,7 +123,7 @@ def cmd_distance(args) -> int:
     graph = causal.build_causal_graph(system, scales, workers=args.workers)
     dmat = causal.distance_matrix(graph)
     out = _outdir(args)
-    (out / "graph.dot").write_text(reports.dot_graph(graph))
+    (out / "graph.dot").write_text(reports.dot_graph(graph, system.tolerances))
     (out / "distances.csv").write_text(
         reports.distance_csv(graph.ids, dmat, system.tolerances, scales)
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,12 +67,6 @@ def minkowski_interval(a, b) -> float:
     return float(d @ _ETA @ d)
 
 
-_DAMPING_KERNELS = {
-    "exponential": lambda eps, omega: np.exp(-eps * omega),
-    "gaussian": lambda eps, omega: np.exp(-0.5 * (eps * omega) ** 2),
-}
-
-
 def gamma_contract(u) -> np.ndarray:
     """Clifford multiplication by a coordinate 4-vector: {g(u),g(v)} = 2 eta(u,v)."""
     u = np.asarray(u, dtype=float)
@@ -84,13 +78,11 @@ class MinkowskiConfig:
     """Parameters of a regularized Dirac-sea system on the torus.
 
     mass : rest mass (> 0)
-    eps : regularization length; every mode is damped by the chosen kernel
+    eps : regularization length; every mode is damped by ``exp(-eps omega)``
     torus_radius : L; momenta are integer multiples of ``1/L`` per axis
     kmax : momentum cutoff in lattice units per axis
     sample_points : space-time coordinates (t, x1, x2, x3) of the points
     weights : optional per-point measure weights (default 1)
-    damping : regularization kernel, ``exponential`` (``exp(-eps omega)``,
-        the default) or ``gaussian`` (``exp(-(eps omega)^2 / 2)``)
     max_f : guard on the Hilbert dimension ``2 (2 kmax + 1)^3``
     """
 
@@ -100,7 +92,6 @@ class MinkowskiConfig:
     kmax: int = 1
     sample_points: tuple = ()
     weights: tuple | None = None
-    damping: str = "exponential"
     max_f: int = 1024
 
     def __post_init__(self):
@@ -110,11 +101,6 @@ class MinkowskiConfig:
             raise ValidationError("kmax must be nonnegative")
         if self.weights is not None and len(self.weights) != len(self.sample_points):
             raise ValidationError("weights and sample_points lengths differ")
-        if self.damping not in _DAMPING_KERNELS:
-            raise ValidationError(
-                f"unknown damping kernel {self.damping!r}; "
-                f"choose from {sorted(_DAMPING_KERNELS)}"
-            )
         if self.eps * self.mass > 0.01:
             warnings.warn(
                 f"eps * mass = {self.eps * self.mass:.3g} is not small; the "
@@ -205,27 +191,27 @@ def dirac_residual(modes: ModeSet) -> float:
     return worst
 
 
-def evaluation_matrix(
-    modes: ModeSet, point, eps: float, damping: str = "exponential"
-) -> np.ndarray:
-    """Damped evaluation of every mode at a space-time point, as a 4 x f matrix."""
+def evaluation_matrix(modes: ModeSet, point, eps: float) -> np.ndarray:
+    """Evaluation of every mode at a space-time point, as a 4 x f matrix.
+
+    Each mode is damped by ``exp(-eps omega)``.
+    """
     t = float(point[0])
     x = np.asarray(point[1:], dtype=float)
     phases = np.exp(1j * (modes.momenta @ x + modes.omegas * t))
-    damp = _DAMPING_KERNELS[damping](eps, modes.omegas)
+    damp = np.exp(-eps * modes.omegas)
     return (modes.amplitudes * (phases * damp)[:, None]).T
 
 
-def local_correlation(
-    modes: ModeSet, point, eps: float, damping: str = "exponential"
-) -> OperatorPoint:
+def local_correlation(modes: ModeSet, point, eps: float) -> OperatorPoint:
     """Local correlation operator at a space-time point.
 
-    With the damped evaluation matrix E the operator is ``-E^+ Sigma E``
-    where Sigma is the spinor inner-product matrix; it has rank at most four
-    with at most two positive and two negative eigenvalues.
+    With the evaluation matrix E, every mode damped by ``exp(-eps omega)``,
+    the operator is ``-E^+ Sigma E`` where Sigma is the spinor inner-product
+    matrix; it has rank at most four with at most two positive and two
+    negative eigenvalues.
     """
-    e = evaluation_matrix(modes, point, eps, damping)
+    e = evaluation_matrix(modes, point, eps)
     f_mat = -(e.conj().T @ (_GAMMA0 @ e))
     return OperatorPoint(f_mat)
 
@@ -241,13 +227,16 @@ def build_system(
     """
     if not config.sample_points:
         raise ValidationError("config has no sample points")
-    modes = build_modes(config)
+    return _build_system(config, build_modes(config), tolerances)
+
+
+def _build_system(config, modes: ModeSet, tolerances=None) -> CausalFermionSystem:
     weights = config.weights or tuple(1.0 for _ in config.sample_points)
     points = []
     coords = {}
     for k, (p, w) in enumerate(zip(config.sample_points, weights)):
         pid = f"p{k:04d}"
-        points.append((pid, w, local_correlation(modes, p, config.eps, config.damping)))
+        points.append((pid, w, local_correlation(modes, p, config.eps)))
         coords[pid] = [float(c) for c in p]
     metadata = {
         "generator": "minkowski",
@@ -255,7 +244,6 @@ def build_system(
         "eps": config.eps,
         "torus_radius": config.torus_radius,
         "kmax": config.kmax,
-        "damping": config.damping,
         "coordinates": coords,
     }
     return CausalFermionSystem(2, points, tolerances=tolerances, metadata=metadata)
@@ -271,7 +259,6 @@ def modes_for_system(system: CausalFermionSystem) -> ModeSet:
         eps=md["eps"],
         torus_radius=md["torus_radius"],
         kmax=md["kmax"],
-        damping=md.get("damping", "exponential"),
         sample_points=((0.0, 0.0, 0.0, 0.0),),
     )
     return build_modes(cfg)
@@ -310,6 +297,30 @@ def _minkowski_frame(xi=None):
     return frame
 
 
+def _isometry(system: CausalFermionSystem, modes: ModeSet, pid: str):
+    """Evaluation isometry of a point's spin space into the spinors at its
+    coordinate, and its left inverse through the spin inner product."""
+    coords = _coordinates(system)
+    x = system.point(pid)
+    if not x.is_regular(system.n):
+        raise ValidationError(f"point {pid!r} is singular")
+    spin_sp = x.spin_space()
+    iota = evaluation_matrix(modes, coords[pid], system.metadata["eps"]) @ spin_sp.basis
+    iota_inv = (1.0 / spin_sp.gram_diag)[:, None] * (iota.conj().T @ _GAMMA0)
+    return iota, iota_inv
+
+
+def _coordinates(system: CausalFermionSystem) -> dict:
+    """Sample coordinates of a system whose points :func:`evaluation_matrix`
+    reproduces; metadata naming another damping kernel is refused."""
+    md = system.metadata
+    if md.get("coordinates") is None:
+        raise ValidationError("system metadata carries no sample coordinates")
+    if md.get("damping", "exponential") != "exponential":
+        raise ValidationError(f"unsupported damping kernel {md['damping']!r}")
+    return md["coordinates"]
+
+
 def dirac_frame(
     system: CausalFermionSystem,
     modes: ModeSet,
@@ -323,36 +334,29 @@ def dirac_frame(
     difference when it is timelike), are pulled back to the spin space
     through the damped evaluation isometry.  The result has signature (1, 3).
     """
-    md = system.metadata
-    coords = md.get("coordinates")
-    if coords is None:
-        raise ValidationError("system metadata carries no sample coordinates")
-    eps = md["eps"]
-    damping = md.get("damping", "exponential")
-    p = coords[x_id]
+    iota, iota_inv = _isometry(system, modes, x_id)
     xi = None
     if y_id is not None and y_id != x_id:
-        xi = np.asarray(coords[y_id], dtype=float) - np.asarray(p, dtype=float)
-    x = system.point(x_id)
-    if not x.is_regular(system.n):
-        raise ValidationError(f"point {x_id!r} is singular")
-    spin_sp = x.spin_space()
-    iota = evaluation_matrix(modes, p, eps, damping) @ spin_sp.basis
-    gram_inv = 1.0 / spin_sp.gram_diag
-    iota_inv = gram_inv[:, None] * (iota.conj().T @ _GAMMA0)
+        coords = system.metadata["coordinates"]
+        xi = np.asarray(coords[y_id], dtype=float) - np.asarray(coords[x_id], dtype=float)
     gens = tuple(
         iota_inv @ gamma_contract(e) @ iota for e in _minkowski_frame(xi)
     )
-    return verify_clifford(gens, spin_sp, tol=1e-7, base_id=x_id)
+    return verify_clifford(gens, system.spin_space(x_id), tol=1e-7, base_id=x_id)
 
 
 def clifford_provider(system: CausalFermionSystem, modes: ModeSet | None = None):
-    """Pair-indexed Clifford subspace provider for a Minkowski system."""
+    """Pair-indexed Clifford subspace provider for a Minkowski system.
+
+    ``provide(a_id, None)`` is the coordinate frame at ``a``, the tangent
+    representative of the metric connection.
+    """
+    _coordinates(system)
     if modes is None:
         modes = modes_for_system(system)
     cache: dict = {}
 
-    def provide(a_id: str, b_id: str) -> CliffordSubspace:
+    def provide(a_id: str, b_id: str | None) -> CliffordSubspace:
         key = (a_id, b_id)
         if key not in cache:
             cache[key] = dirac_frame(system, modes, a_id, b_id)
@@ -365,73 +369,42 @@ def clifford_provider(system: CausalFermionSystem, modes: ModeSet | None = None)
 # flat-space transport studies
 
 
-def spin_transport_deviation(system, modes: ModeSet, path_ids) -> dict:
-    """Deviation of the composed spin transport from the identity.
+def _transport_deviations(system, modes: ModeSet, path_ids) -> dict:
+    """Deviations of the composed spin and metric transports from the identity.
 
-    The spin spaces at the two endpoints are identified through the damped
-    evaluation isometries; the deviation is the Frobenius distance of the
-    identified composite to the nearest unitary multiple of the identity
-    (the physical transport is defined up to a global phase).
+    Both transports read their frames from one provider.  The spin transport
+    (default phase, Clifford-frame splices) is identified between the
+    endpoint spin spaces through the evaluation isometries; its deviation is
+    the Frobenius distance to the nearest unitary multiple of the identity,
+    since the physical transport is defined up to a global phase.  The metric
+    transport takes every point's coordinate frame as its tangent
+    representative and scans the connection phase; desk-scale pairs sit close
+    to the admissible phase-range boundary, so subspace mismatches are
+    accepted up to 0.2 and reported.  Its composite acts on matched frame
+    labels, so the identity is the exact flat-space reference.
     """
-    from .spin import compose_transport
+    from .spin import compose_transport, metric_connection
 
     provider = clifford_provider(system, modes)
     total, records = compose_transport(system, path_ids, provider)
-    coords = system.metadata["coordinates"]
-    eps = system.metadata["eps"]
-    damping = system.metadata.get("damping", "exponential")
-
-    def iota(pid):
-        sp = system.spin_space(pid)
-        return evaluation_matrix(modes, coords[pid], eps, damping) @ sp.basis
-
-    def iota_inv(pid):
-        sp = system.spin_space(pid)
-        return (1.0 / sp.gram_diag)[:, None] * (iota(pid).conj().T @ _GAMMA0)
-
-    mapped = iota(path_ids[-1]) @ total @ iota_inv(path_ids[0])
-    dim = mapped.shape[0]
-    dev = math.sqrt(
-        max(
-            float(np.linalg.norm(mapped)) ** 2
-            + dim
-            - 2.0 * abs(complex(np.trace(mapped))),
-            0.0,
-        )
-    )
-    max_res = max((r["unitarity"] for r in records), default=0.0)
-    return {"spin_deviation": dev, "records": records, "max_segment_residual": max_res}
-
-
-def frame_transport_deviation(
-    system, modes: ModeSet, path_ids, cond2_tol: float = 0.2
-) -> dict:
-    """Deviation of the composed metric transport from the identity.
-
-    Every point carries the standard coordinate frame as its tangent
-    representative; segments run through the pair-adapted subspaces with the
-    scanned connection phase (desk-scale pairs sit close to the admissible
-    phase-range boundary, so the subspace-match residual is accepted up to
-    ``cond2_tol`` and reported).  The composite matrix acts on matched frame
-    labels, so the identity is the exact flat-space reference.
-    """
-    from .spin import metric_connection
-
+    iota = _isometry(system, modes, path_ids[-1])[0]
+    mapped = iota @ total @ _isometry(system, modes, path_ids[0])[1]
+    # min over |c| = 1 of |T - c 1|^2 is |T|^2 + dim - 2 |tr T|
+    sq = float(np.linalg.norm(mapped)) ** 2 + mapped.shape[0]
+    spin_dev = math.sqrt(max(sq - 2.0 * abs(complex(np.trace(mapped))), 0.0))
+    worst = max((r["unitarity"] for r in records), default=0.0)
     comp = np.eye(4)
-    worst = 0.0
-    for k in range(1, len(path_ids)):
-        y_id, x_id = path_ids[k - 1], path_ids[k]
-        t_x = dirac_frame(system, modes, x_id)
-        t_y = dirac_frame(system, modes, y_id)
-        k_xy = dirac_frame(system, modes, x_id, y_id)
-        k_yx = dirac_frame(system, modes, y_id, x_id)
+    for y_id, x_id in zip(path_ids, path_ids[1:]):
         mt = metric_connection(
-            system, x_id, y_id, t_x, t_y, k_xy, k_yx,
-            use_hint=True, cond2_tol=cond2_tol,
+            system, x_id, y_id,
+            provider(x_id, None), provider(y_id, None),
+            provider(x_id, y_id), provider(y_id, x_id),
+            use_hint=True, cond2_tol=0.2,
         )
         comp = mt.matrix @ comp
         worst = max(worst, mt.residuals["span"], mt.residuals["isometry"])
     return {
+        "spin_deviation": spin_dev,
         "frame_deviation": float(np.linalg.norm(comp - np.eye(4))),
         "max_segment_residual": worst,
     }
@@ -447,10 +420,10 @@ def transport_study(
 
     For every regularization length and every segment count, a system is
     built on the equally spaced path points and both the spin and the frame
-    transport deviations from the identity are recorded.
+    transport deviations from the identity are recorded.  The mode set
+    depends on neither, so it is built once.
     """
-    from dataclasses import replace
-
+    modes = build_modes(base_config)
     rows = []
     for eps in eps_list:
         for n_steps in refine_list:
@@ -458,22 +431,9 @@ def transport_study(
                 (duration * k / n_steps, 0.0, 0.0, 0.0) for k in range(n_steps + 1)
             )
             cfg = replace(base_config, eps=float(eps), sample_points=pts)
-            system = build_system(cfg)
-            modes = build_modes(cfg)
-            path = list(system.ids)
-            spin = spin_transport_deviation(system, modes, path)
-            frame = frame_transport_deviation(system, modes, path)
-            rows.append(
-                {
-                    "eps": float(eps),
-                    "n_steps": int(n_steps),
-                    "spin_deviation": spin["spin_deviation"],
-                    "frame_deviation": frame["frame_deviation"],
-                    "max_segment_residual": max(
-                        spin["max_segment_residual"], frame["max_segment_residual"]
-                    ),
-                }
-            )
+            system = _build_system(cfg, modes)
+            dev = _transport_deviations(system, modes, list(system.ids))
+            rows.append({"eps": float(eps), "n_steps": int(n_steps), **dev})
     return rows
 
 

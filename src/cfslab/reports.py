@@ -65,11 +65,10 @@ def classification_csv(analysis: PairAnalysis, include_diagonal: bool = False) -
     return "\n".join(lines) + "\n"
 
 
-def distance_csv(ids, dmat: np.ndarray, tol: Tolerances, scales=None) -> str:
+def distance_csv(ids, dmat: np.ndarray, tol: Tolerances, scales) -> str:
     lines = _tolerance_header(tol)
-    if scales is not None:
-        lines.append(f"# l_min={fmt(scales.l_min)}")
-        lines.append(f"# l_max={fmt(scales.l_max)}")
+    lines.append(f"# l_min={fmt(scales.l_min)}")
+    lines.append(f"# l_max={fmt(scales.l_max)}")
     lines.append("id," + ",".join(ids))
     for pid, row in zip(ids, dmat.tolist()):
         lines.append(pid + "," + ",".join(map("%.17g".__mod__, row)))
@@ -86,10 +85,8 @@ def order_csv(ids, dmat: np.ndarray, tol: Tolerances) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dot_graph(graph: CausalGraph, tol: Tolerances | None = None) -> str:
-    lines = []
-    if tol is not None:
-        lines.extend("//" + h[1:] for h in _tolerance_header(tol))
+def dot_graph(graph: CausalGraph, tol: Tolerances) -> str:
+    lines = ["//" + h[1:] for h in _tolerance_header(tol)]
     lines.append("digraph causal {")
     for pid in graph.ids:
         lines.append(f'  "{pid}";')
@@ -113,12 +110,10 @@ def _matrix_entries(matrix: np.ndarray) -> list:
     ]
 
 
-def connection_json(records, tol: Tolerances, composite=None, extras=None) -> str:
+def connection_json(records, tol: Tolerances, composite, extras: dict) -> str:
     doc: dict = {"tolerances": tol.as_dict(), "segments": records}
-    if composite is not None:
-        doc["composite"] = _matrix_entries(composite)
-    if extras:
-        doc.update(extras)
+    doc["composite"] = _matrix_entries(composite)
+    doc.update(extras)
     return json.dumps(doc, indent=1) + "\n"
 
 

@@ -97,15 +97,6 @@ class TestEll:
             y = random_regular_point(8, 2, rng)
             assert ell(x, y, scales) == pytest.approx(ell(y, x, scales), rel=1e-9)
 
-    def test_operator_norm_variant(self):
-        rng = np.random.default_rng(41)
-        x = random_regular_point(8, 2, rng)
-        y = random_regular_point(8, 2, rng)
-        scales = LengthScales(1e-3, 1e3)
-        spectral = ell(x, y, scales)
-        operator = ell(x, y, scales, norm="operator")
-        assert operator <= spectral + 1e-12  # larger magnitude, shorter length
-
     def test_scales_validation(self):
         with pytest.raises(ValidationError):
             LengthScales(1.0, 0.5)

@@ -349,13 +349,10 @@ class TestDistanceCsv:
         dmat[4] = 0.0
         ids = [f"g{i}" for i in range(5)]
         want = [pid + "," + ",".join(cell(v) for v in row) for pid, row in zip(ids, dmat)]
-        for scales in (None, LengthScales(0.25, 2.5)):
-            lines = distance_csv(ids, dmat, Tolerances(), scales).splitlines()
-            header = 3 if scales is None else 5
-            if scales is not None:
-                assert lines[3:5] == ["# l_min=0.25", "# l_max=2.5"]
-            assert lines[header] == "id," + ",".join(ids)
-            assert lines[header + 1 :] == want
+        lines = distance_csv(ids, dmat, Tolerances(), LengthScales(0.25, 2.5)).splitlines()
+        assert lines[3:5] == ["# l_min=0.25", "# l_max=2.5"]
+        assert lines[5] == "id," + ",".join(ids)
+        assert lines[6:] == want
         assert fmt(np.inf) == "inf" and fmt(-np.inf) == "-inf" and fmt(0.0) == "0"
 
 
@@ -482,6 +479,8 @@ class TestCli:
         )
         assert code == 0
         dot = (out / "graph.dot").read_text()
+        assert dot.startswith("// eig_rel=")
+        assert dot.splitlines()[3] == "digraph causal {"
         assert '"p0002" -> "p0001"' in dot
         distances = (out / "distances.csv").read_text()
         assert "inf" not in distances
@@ -544,6 +543,18 @@ class TestCli:
         assert code == 0
         doc = json.loads((out2 / "holonomy.json").read_text())
         assert doc["unitarity"] < 1e-9
+
+    def test_connect_refuses_other_damping_kernels(self, generated, tmp_path, capsys):
+        _, _, sys_path = generated
+        doc = json.loads(sys_path.read_text())
+        doc["metadata"]["damping"] = "gaussian"
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        capsys.readouterr()
+        args = ["connect", "--system", str(old), "--path", "p0000,p0001,p0002"]
+        assert main([*args, "--out", str(tmp_path / "conn")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "gaussian" in err[0]
 
     def test_converge(self, generated, tmp_path):
         _, cfg_path, _ = generated

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cfslab import minkowski as mk
+from cfslab.core import CausalFermionSystem
 from cfslab.errors import DimensionMismatchError, ValidationError
 
 
@@ -217,3 +218,56 @@ class TestDiracFrame:
         _, system, modes = small_minkowski
         k = mk.dirac_frame(system, modes, "p0000")
         assert k.signature == (1, 3)
+
+    def test_refuses_other_damping_kernels(self, small_minkowski):
+        # points built with another damping kernel would get frames pulled
+        # back through the wrong evaluation isometry
+        _, system, modes = small_minkowski
+        old = CausalFermionSystem(
+            system.n,
+            [(e.id, e.weight, e.op) for e in system.points],
+            metadata={**system.metadata, "damping": "gaussian"},
+        )
+        with pytest.raises(ValidationError, match="gaussian"):
+            mk.dirac_frame(old, modes, "p0000")
+        with pytest.raises(ValidationError, match="gaussian"):
+            mk.clifford_provider(old, modes)
+        with pytest.raises(ValidationError, match="gaussian"):
+            mk.clifford_provider(old)
+        stated = CausalFermionSystem(
+            system.n,
+            [(e.id, e.weight, e.op) for e in system.points],
+            metadata={**system.metadata, "damping": "exponential"},
+        )
+        assert mk.dirac_frame(stated, modes, "p0000").signature == (1, 3)
+
+
+class TestTransportStudy:
+    def test_one_frame_per_point_and_partner(self, monkeypatch):
+        # a 4-segment row needs the coordinate frame at each of its 5 points
+        # and both pair frames of each of its 4 segments: 13 frames
+        calls = []
+        frame = mk.dirac_frame
+
+        def counting(system, modes, x_id, y_id=None):
+            calls.append((x_id, y_id))
+            return frame(system, modes, x_id, y_id)
+
+        monkeypatch.setattr(mk, "dirac_frame", counting)
+        cfg = mk.MinkowskiConfig(
+            kmax=1, torus_radius=0.8, sample_points=((0.0, 0.0, 0.0, 0.0),)
+        )
+        (row,) = mk.transport_study(cfg, [4e-3], [4])
+        assert len(calls) == 13
+        assert len(set(calls)) == 13
+        assert all(np.isfinite(row[k]) for k in ("spin_deviation", "frame_deviation"))
+
+    def test_builds_the_mode_set_once(self, monkeypatch):
+        built = []
+        build = mk.build_modes
+        monkeypatch.setattr(mk, "build_modes", lambda cfg: built.append(cfg) or build(cfg))
+        cfg = mk.MinkowskiConfig(
+            kmax=1, torus_radius=0.8, sample_points=((0.0, 0.0, 0.0, 0.0),)
+        )
+        rows = mk.transport_study(cfg, [4e-3, 2e-3], [2])
+        assert len(rows) == 2 and len(built) == 1
