@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OperatorPoint, Tolerances
+from .core import DEFAULT_TOL, OperatorPoint, Tolerances, _cut, _hermitian
 from .errors import DimensionMismatchError, LeftManifoldError, ValidationError
 
 __all__ = [
@@ -92,9 +92,11 @@ def retract(
 
     The step ``x + t u`` is projected to the nearest operator of the base
     point's rank by keeping the eigenvalues of largest magnitude.  If the
-    kept eigenvalues no longer split into the base signature, the step left
-    the fixed-signature stratum and an error carrying the offending
-    eigenvalues is raised.
+    kept eigenvalues no longer split into the base signature, or one of them
+    is at or below the zero cut of ``tol``, the step left the fixed-signature
+    stratum and an error carrying the offending eigenvalues is raised.  The
+    point is built from the kept eigenpairs, without a second
+    eigendecomposition.
     """
     if u.base is not x:
         raise ValidationError("tangent vector is not based at the given point")
@@ -114,6 +116,15 @@ def retract(
             f"expected ({n},{n})",
             kept_w,
         )
+    radius = float(np.abs(kept_w).max())
+    if np.abs(kept_w).min() <= _cut(tol or DEFAULT_TOL, radius):
+        raise LeftManifoldError(
+            "retraction left the manifold: a kept eigenvalue is below the zero cut",
+            kept_w,
+        )
     vk = v[:, keep]
-    truncated = (vk * kept_w) @ vk.conj().T
-    return OperatorPoint(truncated, tol)
+    truncated = _hermitian((vk * kept_w) @ vk.conj().T)
+    # the kept eigenpairs are the point's, in descending order
+    point = OperatorPoint.__new__(OperatorPoint)
+    point._build(truncated, np.ascontiguousarray(vk[:, ::-1]), kept_w[::-1].copy(), radius)
+    return point

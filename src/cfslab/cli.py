@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -62,14 +63,24 @@ def _outdir(args) -> Path:
 def _load_config(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    if not isinstance(doc, dict):
+        raise ValidationError("a config must be a JSON object")
+    return doc
+
+
+def _tuples(value):
+    """JSON lists as tuples, nested lists included."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def _minkowski_config(doc: dict) -> minkowski.MinkowskiConfig:
+    if not isinstance(doc, dict):
+        raise ValidationError("a Minkowski config must be a JSON object")
     known = {
         "mass",
         "eps",
@@ -82,12 +93,7 @@ def _minkowski_config(doc: dict) -> minkowski.MinkowskiConfig:
     extra = set(doc) - known - {"kind"}
     if extra:
         raise ValidationError(f"unknown config fields: {sorted(extra)}")
-    doc = dict(doc)
-    doc.pop("kind", None)
-    if "sample_points" in doc:
-        doc["sample_points"] = tuple(tuple(p) for p in doc["sample_points"])
-    if doc.get("weights") is not None:
-        doc["weights"] = tuple(doc["weights"])
+    doc = {k: _tuples(v) for k, v in doc.items() if k != "kind"}
     return minkowski.MinkowskiConfig(**doc)
 
 
@@ -97,6 +103,8 @@ def cmd_generate(args) -> int:
     if kind == "minkowski":
         system = minkowski.build_system(_minkowski_config(doc))
     elif kind == "mixture":
+        if not all(isinstance(doc.get(k), list) for k in ("components", "weights")):
+            raise ValidationError("a mixture config needs lists 'components' and 'weights'")
         comps = [minkowski.build_system(_minkowski_config(c)) for c in doc["components"]]
         spec = minkowski.MixtureSpec(tuple(comps), tuple(doc["weights"]))
         system = minkowski.mix_systems(spec)
@@ -150,6 +158,13 @@ def cmd_lattice(args) -> int:
     return 0
 
 
+def _known_ids(system, ids: list) -> list:
+    unknown = [pid for pid in ids if pid not in system.ids]
+    if unknown:
+        raise ValidationError(f"unknown point ids: {unknown}")
+    return ids
+
+
 def _provider_if_minkowski(system):
     if system.metadata.get("generator") == "minkowski":
         return minkowski.clifford_provider(system)
@@ -158,7 +173,7 @@ def _provider_if_minkowski(system):
 
 def cmd_connect(args) -> int:
     system = _with_tolerances(read_system(args.system), args)
-    path = args.path.split(",")
+    path = _known_ids(system, args.path.split(","))
     provider = _provider_if_minkowski(system)
     total, records = spin.compose_transport(system, path, provider)
     out = _outdir(args)
@@ -172,7 +187,7 @@ def cmd_connect(args) -> int:
 
 def cmd_holonomy(args) -> int:
     system = _with_tolerances(read_system(args.system), args)
-    ids = args.triangle.split(",")
+    ids = _known_ids(system, args.triangle.split(","))
     if len(ids) != 3:
         raise ValidationError("--triangle needs exactly three ids")
     provider = _provider_if_minkowski(system)
@@ -195,10 +210,8 @@ def cmd_holonomy(args) -> int:
 def cmd_converge(args) -> int:
     doc = _load_config(args.config)
     cfg = _minkowski_config({**doc, "sample_points": ((0.0, 0.0, 0.0, 0.0),)})
-    eps_list = [float(v) for v in args.eps_list.split(",")]
-    refine_list = [int(v) for v in args.refine_list.split(",")]
     rows = minkowski.transport_study(
-        cfg, eps_list, refine_list, duration=args.duration
+        cfg, args.eps_list, args.refine_list, duration=args.duration
     )
     out = _outdir(args)
     (out / "convergence.csv").write_text(
@@ -259,8 +272,30 @@ def validate_system(system: CausalFermionSystem) -> list[str]:
     return failures
 
 
+def _positive_list(kind):
+    """Argument type: comma-separated positive finite values of ``kind``."""
+
+    def parse(text: str) -> list:
+        try:
+            values = [kind(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a list of {kind.__name__}s: {text!r}")
+        if not all(math.isfinite(v) and v > 0 for v in values):
+            raise argparse.ArgumentTypeError(f"values must be positive and finite: {text!r}")
+        return values
+
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line, without the usage text."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cfslab",
         description="finite causal fermion systems: build, classify, measure",
     )
@@ -314,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="flat-space transport convergence table")
     p.add_argument("--config", required=True)
-    p.add_argument("--eps-list", required=True)
-    p.add_argument("--refine-list", required=True)
+    p.add_argument("--eps-list", required=True, type=_positive_list(float))
+    p.add_argument("--refine-list", required=True, type=_positive_list(int))
     p.add_argument("--duration", type=float, default=0.6)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_converge)

@@ -5,16 +5,16 @@ class CfsError(Exception):
     """Base class for all cfslab errors."""
 
 
-class DimensionMismatchError(CfsError):
+class ValidationError(CfsError):
+    """An invariant of a domain object is violated."""
+
+
+class DimensionMismatchError(ValidationError):
     """Operands live on Hilbert spaces of different dimension."""
 
 
-class EmptySystemError(CfsError):
+class EmptySystemError(ValidationError):
     """An operation produced or received a system with no points."""
-
-
-class ValidationError(CfsError):
-    """An invariant of a domain object is violated."""
 
 
 class NotSpinConnectableError(CfsError):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -73,6 +74,27 @@ def gamma_contract(u) -> np.ndarray:
     return sum((_ETA[j, j] * u[j]) * GAMMA[j] for j in range(4))
 
 
+_SEQUENCES = (tuple, list, np.ndarray)
+
+
+def _real(value) -> bool:
+    """True iff ``value`` is a finite real number (not a bool)."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _reals(values, length: int) -> bool:
+    """True iff ``values`` is a sequence of ``length`` finite real numbers."""
+    return (
+        isinstance(values, _SEQUENCES)
+        and len(values) == length
+        and all(_real(v) for v in values)
+    )
+
+
 @dataclass(frozen=True)
 class MinkowskiConfig:
     """Parameters of a regularized Dirac-sea system on the torus.
@@ -95,12 +117,21 @@ class MinkowskiConfig:
     max_f: int = 1024
 
     def __post_init__(self):
+        for name in ("mass", "eps", "torus_radius", "kmax", "max_f"):
+            value = getattr(self, name)
+            integral = name in ("kmax", "max_f")
+            if not _real(value) or (integral and not isinstance(value, numbers.Integral)):
+                kind = "an integer" if integral else "a finite number"
+                raise ValidationError(f"{name} must be {kind}, got {value!r}")
         if self.mass <= 0 or self.eps <= 0 or self.torus_radius <= 0:
             raise ValidationError("mass, eps, and torus_radius must be positive")
         if self.kmax < 0:
             raise ValidationError("kmax must be nonnegative")
-        if self.weights is not None and len(self.weights) != len(self.sample_points):
-            raise ValidationError("weights and sample_points lengths differ")
+        points = self.sample_points
+        if not isinstance(points, _SEQUENCES) or not all(_reals(p, 4) for p in points):
+            raise ValidationError("every sample point needs 4 finite coordinates")
+        if self.weights is not None and not _reals(self.weights, len(points)):
+            raise ValidationError("weights must be finite numbers, one per sample point")
         if self.eps * self.mass > 0.01:
             warnings.warn(
                 f"eps * mass = {self.eps * self.mass:.3g} is not small; the "
@@ -342,7 +373,7 @@ def dirac_frame(
     gens = tuple(
         iota_inv @ gamma_contract(e) @ iota for e in _minkowski_frame(xi)
     )
-    return verify_clifford(gens, system.spin_space(x_id), tol=1e-7, base_id=x_id)
+    return verify_clifford(gens, system.spin_space(x_id), tol=1e-7)
 
 
 def clifford_provider(system: CausalFermionSystem, modes: ModeSet | None = None):
@@ -398,8 +429,7 @@ def _transport_deviations(system, modes: ModeSet, path_ids) -> dict:
         mt = metric_connection(
             system, x_id, y_id,
             provider(x_id, None), provider(y_id, None),
-            provider(x_id, y_id), provider(y_id, x_id),
-            use_hint=True, cond2_tol=0.2,
+            provider(x_id, y_id), provider(y_id, x_id), cond2_tol=0.2,
         )
         comp = mt.matrix @ comp
         worst = max(worst, mt.residuals["span"], mt.residuals["isometry"])
@@ -451,8 +481,8 @@ class MixtureSpec:
     def __post_init__(self):
         if len(self.systems) != len(self.weights) or not self.systems:
             raise ValidationError("systems and weights must match and be nonempty")
-        if any(w < 0 for w in self.weights):
-            raise ValidationError("mixture weights must be nonnegative")
+        if not all(_real(w) and w >= 0 for w in self.weights):
+            raise ValidationError("mixture weights must be nonnegative numbers")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValidationError("mixture weights must sum to one")
 

@@ -88,63 +88,6 @@ def _overlaps(bases, i0, i1, j0, j1):
     return bases[i0:i1].conj().swapaxes(1, 2)[:, None] @ bases[j0:j1][None]
 
 
-def _compute_block(state, i0, i1, j0, j1):
-    """Pair quantities for one block of (row, column) point indices."""
-    lams = state["lams"]
-    srad = state["srad"]
-    eig_rel = state["eig_rel"]
-    imag_rel = state["imag_rel"]
-
-    g = _overlaps(state["bases"], i0, i1, j0, j1)
-    gh = g.conj().swapaxes(-1, -2)
-    lx = lams[i0:i1]
-    ly = lams[j0:j1]
-
-    # Restricted product matrix M = diag(lx) G diag(ly) G^+ per pair.
-    m = (lx[:, None, :, None] * g * ly[None, :, None, :]) @ gh
-    w = np.linalg.eigvals(m)
-    mods = np.abs(w)
-    mx = mods.max(axis=-1)
-    mn = mods.min(axis=-1)
-    specrad = mx
-
-    codes = np.full(mx.shape, _CODES["L"], dtype=np.uint8)
-    spacelike = (mx - mn) <= eig_rel * mx
-    timelike = np.all(np.abs(w.imag) <= imag_rel * mx[..., None], axis=-1)
-    codes[timelike] = _CODES["T"]
-    codes[spacelike] = _CODES["S"]
-
-    # Time direction: C = -2 Im tr(G Ly G+ Lx G G+).
-    a1 = (g * ly[None, :, None, :]) @ gh
-    a2 = lx[:, None, :, None] * (g @ gh)
-    tr1 = np.einsum("...ab,...ba->...", a1, a2)
-    cvals = -2.0 * tr1.imag
-
-    thr = imag_rel * srad[i0:i1, None] * srad[None, j0:j1]
-    orient = np.zeros(cvals.shape, dtype=np.int8)
-    orient[cvals > thr] = 1
-    orient[cvals < -thr] = -1
-    return codes, orient, cvals, specrad
-
-
-def _adjointness_block(state, i0, i1, j0, j1):
-    """Relative defect of the kernel adjointness P(x, y)* = P(y, x) on a block.
-
-    With P(x, y) = G_xy diag(l_y) and the spin Gram matrix diag(-l), the
-    relation diag(-l_y) P(y, x) = P(x, y)^+ diag(-l_x) has the defect
-    diag(l_y) (G_yx - G_xy^+) diag(l_x): multiplied through rather than
-    divided by the Gram matrix, whose padded slots are zero.  Each order's
-    overlap comes from its own GEMM.
-    """
-    lams, srad = state["lams"], state["srad"]
-    g_xy = _overlaps(state["bases"], i0, i1, j0, j1)
-    g_yx = _overlaps(state["bases"], j0, j1, i0, i1).swapaxes(0, 1)
-    e = g_yx - g_xy.conj().swapaxes(-1, -2)
-    e *= lams[None, j0:j1, :, None] * lams[i0:i1, None, None, :]
-    scale = np.maximum(1.0, srad[i0:i1, None] * srad[None, j0:j1])
-    return (np.linalg.norm(e, axis=(-2, -1)) / scale,)
-
-
 class PairEngine:
     """Vectorized pair analysis for any system, singular points included.
 
@@ -167,13 +110,63 @@ class PairEngine:
             rank = entry.op.rank
             bases[k, :, :rank] = entry.op.image_basis()
             lams[k, :rank] = entry.op.nonzero_eigenvalues()
-        self._state = {
-            "bases": bases,
-            "lams": lams,
-            "srad": np.abs(lams).max(axis=1),
-            "eig_rel": system.tolerances.eig_rel,
-            "imag_rel": system.tolerances.imag_rel,
-        }
+        self._bases = bases
+        self._lams = lams
+        self._srad = np.abs(lams).max(axis=1)
+
+    def _compute_block(self, i0, i1, j0, j1):
+        """Pair quantities for one block of (row, column) point indices."""
+        lams, srad = self._lams, self._srad
+        eig_rel = self.system.tolerances.eig_rel
+        imag_rel = self.system.tolerances.imag_rel
+
+        g = _overlaps(self._bases, i0, i1, j0, j1)
+        gh = g.conj().swapaxes(-1, -2)
+        lx = lams[i0:i1]
+        ly = lams[j0:j1]
+
+        # Restricted product matrix M = diag(lx) G diag(ly) G^+ per pair.
+        m = (lx[:, None, :, None] * g * ly[None, :, None, :]) @ gh
+        w = np.linalg.eigvals(m)
+        mods = np.abs(w)
+        mx = mods.max(axis=-1)
+        mn = mods.min(axis=-1)
+        specrad = mx
+
+        codes = np.full(mx.shape, _CODES["L"], dtype=np.uint8)
+        spacelike = (mx - mn) <= eig_rel * mx
+        timelike = np.all(np.abs(w.imag) <= imag_rel * mx[..., None], axis=-1)
+        codes[timelike] = _CODES["T"]
+        codes[spacelike] = _CODES["S"]
+
+        # Time direction: C = -2 Im tr(G Ly G+ Lx G G+).
+        a1 = (g * ly[None, :, None, :]) @ gh
+        a2 = lx[:, None, :, None] * (g @ gh)
+        tr1 = np.einsum("...ab,...ba->...", a1, a2)
+        cvals = -2.0 * tr1.imag
+
+        thr = imag_rel * srad[i0:i1, None] * srad[None, j0:j1]
+        orient = np.zeros(cvals.shape, dtype=np.int8)
+        orient[cvals > thr] = 1
+        orient[cvals < -thr] = -1
+        return codes, orient, cvals, specrad
+
+    def _adjointness_block(self, i0, i1, j0, j1):
+        """Relative defect of the kernel adjointness P(x, y)* = P(y, x) on a block.
+
+        With P(x, y) = G_xy diag(l_y) and the spin Gram matrix diag(-l), the
+        relation diag(-l_y) P(y, x) = P(x, y)^+ diag(-l_x) has the defect
+        diag(l_y) (G_yx - G_xy^+) diag(l_x): multiplied through rather than
+        divided by the Gram matrix, whose padded slots are zero.  Each order's
+        overlap comes from its own GEMM.
+        """
+        lams, srad = self._lams, self._srad
+        g_xy = _overlaps(self._bases, i0, i1, j0, j1)
+        g_yx = _overlaps(self._bases, j0, j1, i0, i1).swapaxes(0, 1)
+        e = g_yx - g_xy.conj().swapaxes(-1, -2)
+        e *= lams[None, j0:j1, :, None] * lams[i0:i1, None, None, :]
+        scale = np.maximum(1.0, srad[i0:i1, None] * srad[None, j0:j1])
+        return (np.linalg.norm(e, axis=(-2, -1)) / scale,)
 
     def _map_blocks(self, block, dtypes):
         """Arrays of ``block``'s outputs, filled tile by tile on and above
@@ -182,7 +175,7 @@ class PairEngine:
         outs = [np.zeros((n_pts, n_pts), dtype=dt) for dt in dtypes]
         tasks = list(_block_pairs(n_pts))
         with ThreadPoolExecutor(max_workers=min(self.workers, len(tasks))) as pool:
-            results = pool.map(lambda t: block(self._state, *t), tasks)
+            results = pool.map(lambda t: block(*t), tasks)
             for (i0, i1, j0, j1), parts in zip(tasks, results):
                 for out, part in zip(outs, parts):
                     out[i0:i1, j0:j1] = part
@@ -190,7 +183,7 @@ class PairEngine:
 
     def analyze(self) -> PairAnalysis:
         codes, orient, cvals, specrad = self._map_blocks(
-            _compute_block, (np.uint8, np.int8, np.float64, np.float64)
+            self._compute_block, (np.uint8, np.int8, np.float64, np.float64)
         )
         # The time direction is antisymmetric: zero on self pairs, and below
         # the diagonal, like the symmetric spectrum, a mirror of the entries
@@ -213,5 +206,5 @@ class PairEngine:
         Entry (i, j) for i < j holds the Frobenius norm of the defect for
         (x_i, x_j) over max(1, |x_i| |x_j|); the rest of the matrix is zero.
         """
-        (rel,) = self._map_blocks(_adjointness_block, (np.float64,))
+        (rel,) = self._map_blocks(self._adjointness_block, (np.float64,))
         return np.triu(rel, 1)

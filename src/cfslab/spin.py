@@ -173,14 +173,21 @@ def _cluster_spectrum(a, gram_diag, tol: Tolerances):
     return w, tuple(clusters)
 
 
-def closed_chain(system: CausalFermionSystem, x_id: str, y_id: str) -> ClosedChain:
-    """Closed chain of the pair, with eigenspace definiteness per cluster."""
-    p_xy = kernel(system, x_id, y_id).matrix
-    p_yx = kernel(system, y_id, x_id).matrix
-    a = p_xy @ p_yx
+def _chain(system: CausalFermionSystem, x_id: str, y_id: str):
+    """Closed chain of the pair and its kernel P(x, y), both from the one
+    overlap ``G = B_x^+ B_y``: ``P(x, y) = G diag(l_y)``, ``P(y, x) = G^+ diag(l_x)``."""
+    x, y = system.point(x_id), system.point(y_id)
+    g = x.image_basis().conj().T @ y.image_basis()
+    p_xy = g * y.nonzero_eigenvalues()[None, :]
+    a = p_xy @ (g.conj().T * x.nonzero_eigenvalues()[None, :])
     gram = system.spin_space(x_id).gram_diag
     w, clusters = _cluster_spectrum(a, gram, system.tolerances)
-    return ClosedChain(x_id, y_id, a, w, clusters)
+    return ClosedChain(x_id, y_id, a, w, clusters), p_xy
+
+
+def closed_chain(system: CausalFermionSystem, x_id: str, y_id: str) -> ClosedChain:
+    """Closed chain of the pair, with eigenspace definiteness per cluster."""
+    return _chain(system, x_id, y_id)[0]
 
 
 def _positive_spectrum(w, tol: Tolerances) -> bool:
@@ -194,28 +201,26 @@ def _positive_spectrum(w, tol: Tolerances) -> bool:
     )
 
 
-def properly_timelike(
-    system: CausalFermionSystem, x_id: str, y_id: str, tol: Tolerances | None = None
-) -> bool:
+def properly_timelike(system: CausalFermionSystem, x_id: str, y_id: str) -> bool:
     """True iff the closed chain has a strictly positive spectrum and every
     eigenspace is definite for the spin scalar product."""
-    tol = tol or system.tolerances
     chain = closed_chain(system, x_id, y_id)
-    return _positive_spectrum(chain.eigenvalues, tol) and chain.definite
+    return _positive_spectrum(chain.eigenvalues, system.tolerances) and chain.definite
 
 
-def _split_chain(system: CausalFermionSystem, x_id: str, y_id: str, tol: Tolerances):
-    """Sign operator ``v`` and ``A^(-1/2)`` of the closed chain A_xy.
+def _split_chain(system: CausalFermionSystem, x_id: str, y_id: str):
+    """Sign operator ``v``, ``A^(-1/2)`` and the kernel ``P(x, y)`` of the
+    closed chain A_xy.
 
     The chain is built once, and each eigenvalue cluster's spectral
     projector is formed once and added into ``v`` with the cluster's sign
     and into ``A^(-1/2)`` with ``1 / sqrt(eigenvalue)``.  Raises
     ``NotSpinConnectableError`` for a spectrum that is not strictly positive
-    within ``tol``, an indefinite eigenspace, or a definite splitting of
-    dimensions other than ``(n, n)``.
+    within the system's tolerances, an indefinite eigenspace, or a definite
+    splitting of dimensions other than ``(n, n)``.
     """
-    chain = closed_chain(system, x_id, y_id)
-    if not _positive_spectrum(chain.eigenvalues, tol):
+    chain, p_xy = _chain(system, x_id, y_id)
+    if not _positive_spectrum(chain.eigenvalues, system.tolerances):
         raise NotSpinConnectableError(
             f"closed chain of ({x_id}, {y_id}) has non-positive spectrum: "
             f"{chain.eigenvalues}"
@@ -240,7 +245,7 @@ def _split_chain(system: CausalFermionSystem, x_id: str, y_id: str, tol: Toleran
         proj = c.vectors @ np.linalg.solve(c.gram_form, c.vectors.conj().T * gram[None, :])
         v += c.sign * proj
         inv_half += (1.0 / math.sqrt(c.value.real)) * proj
-    return v, inv_half
+    return v, inv_half, p_xy
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +274,13 @@ def euclidean_sign(system: CausalFermionSystem, x_id: str) -> SignOperator:
     return SignOperator("euclidean", x_id, np.diag(diag).astype(np.complex128))
 
 
-def directional_sign(
-    system: CausalFermionSystem, x_id: str, y_id: str, tol: Tolerances | None = None
-) -> SignOperator:
+def directional_sign(system: CausalFermionSystem, x_id: str, y_id: str) -> SignOperator:
     """Sign operator of the definite splitting of the closed chain.
 
     Requires the positive and negative definite eigenspaces of A_xy to have
     dimension ``n`` each; otherwise the pair is not spin-connectable.
     """
-    v, _ = _split_chain(system, x_id, y_id, tol or system.tolerances)
+    v = _split_chain(system, x_id, y_id)[0]
     return SignOperator("directional", x_id, v)
 
 
@@ -296,7 +299,6 @@ class CliffordSubspace:
     generators: tuple
     metric: np.ndarray
     signature: tuple[int, int]
-    base_id: str | None = None
 
     @property
     def dim(self) -> int:
@@ -311,12 +313,7 @@ def _anticommutator_scalar(u, v):
     return c, anti - 2.0 * c * np.eye(r)
 
 
-def verify_clifford(
-    generators,
-    spin_sp: SpinSpace,
-    tol: float = 1e-9,
-    base_id: str | None = None,
-) -> CliffordSubspace:
+def verify_clifford(generators, spin_sp: SpinSpace, tol: float = 1e-9) -> CliffordSubspace:
     """Check the Clifford conditions and build the subspace.
 
     Every generator must be symmetric for the spin scalar product, pairwise
@@ -357,7 +354,7 @@ def verify_clifford(
     if np.abs(mu).min() <= tol * max(1.0, np.abs(mu).max()):
         raise ValidationError("the induced bilinear form is degenerate")
     signature = (int(np.count_nonzero(mu > 0)), int(np.count_nonzero(mu < 0)))
-    return CliffordSubspace(gens, metric, signature, base_id)
+    return CliffordSubspace(gens, metric, signature)
 
 
 def _subspace_frame(generators) -> np.ndarray:
@@ -410,10 +407,7 @@ def _eta_frame(subspace: CliffordSubspace):
 
 
 def splice_map(
-    spin_sp: SpinSpace,
-    k_from: CliffordSubspace,
-    k_to: CliffordSubspace,
-    tol: float = 1e-8,
+    spin_sp: SpinSpace, k_from: CliffordSubspace, k_to: CliffordSubspace
 ) -> np.ndarray:
     """Unitary on the spin space conjugating one Clifford subspace to another.
 
@@ -426,7 +420,7 @@ def splice_map(
     ------
     SpliceError
         On signature mismatch, a non-unique intertwiner, or when no
-        Krein-unitary intertwiner exists within ``tol``.
+        Krein-unitary intertwiner exists within a relative 1e-8.
     """
     if k_from.signature != k_to.signature:
         raise SpliceError(
@@ -443,7 +437,7 @@ def splice_map(
     stacked = np.concatenate(rows, axis=0)
     _, sing, vh = np.linalg.svd(stacked)
     scale = max(sing.max(initial=0.0), 1.0)
-    null_rows = vh[sing <= tol * scale] if sing.size else vh[-1:]
+    null_rows = vh[sing <= 1e-8 * scale] if sing.size else vh[-1:]
     if null_rows.shape[0] == 0:
         raise SpliceError(
             f"no intertwiner: smallest residual {sing[-1]:.3e} exceeds tolerance"
@@ -487,16 +481,14 @@ class SpinConnection:
     metadata: dict = field(default_factory=dict)
 
 
-def spin_connectable(
-    system: CausalFermionSystem, x_id: str, y_id: str, tol: Tolerances | None = None
-) -> bool:
+def spin_connectable(system: CausalFermionSystem, x_id: str, y_id: str) -> bool:
     """Working criterion: properly timelike both ways with (n, n)-definite
     chain splittings on both sides."""
     if x_id == y_id:
         return True
     try:
-        directional_sign(system, x_id, y_id, tol)
-        directional_sign(system, y_id, x_id, tol)
+        directional_sign(system, x_id, y_id)
+        directional_sign(system, y_id, x_id)
     except NotSpinConnectableError:
         return False
     return True
@@ -505,12 +497,11 @@ def spin_connectable(
 def _connection_map(system: CausalFermionSystem, x_id: str, y_id: str):
     """The pair's connection ``phi -> (cos phi + i sin phi v) A^(-1/2) P(x, y)``.
 
-    ``v``, ``A^(-1/2)`` and ``P(x, y)`` are built once, so evaluating the
-    returned function forms only the rotation and two products.  Raises
-    ``NotSpinConnectableError`` as :func:`_split_chain` does.
+    ``v``, ``A^(-1/2)`` and ``P(x, y)`` come from one :func:`_split_chain`,
+    so evaluating the returned function forms only the rotation and two
+    products.  Raises ``NotSpinConnectableError`` as that function does.
     """
-    v, inv_half = _split_chain(system, x_id, y_id, system.tolerances)
-    p = kernel(system, x_id, y_id).matrix
+    v, inv_half, p = _split_chain(system, x_id, y_id)
     eye = np.eye(v.shape[0])
 
     def at(phi: float) -> np.ndarray:
@@ -520,15 +511,15 @@ def _connection_map(system: CausalFermionSystem, x_id: str, y_id: str):
     return at
 
 
-def _scan_phi(system, x_id, y_id, k_xy, k_yx):
-    """Best condition-(ii) phase over both admissible ranges.
+def _scan_phi(system, x_id, y_id, connection, k_xy, k_yx):
+    """Best condition-(ii) phase of the pair's ``connection`` map over both
+    admissible ranges.
 
     The residual is the Grassmann mismatch of ``k_yx`` and the ``k_xy``
     generators conjugated by the candidate connection.  Coarse grid plus
     golden-section refinement; on a tie the positive range wins, keeping
     reports deterministic.
     """
-    connection = _connection_map(system, x_id, y_id)
     gx = system.spin_space(x_id).gram_diag
     gy = system.spin_space(y_id).gram_diag
     target = _subspace_frame(k_yx.generators)
@@ -582,8 +573,10 @@ def spin_connection(
     subspace mismatch of the two hints under the connection (scan plus
     golden-section, error if the best residual exceeds ``cond2_tol``);
     otherwise the default ``3 pi / 4`` is used and recorded in the metadata.
-    The phase of the reversed pair is the negative, which realizes
-    ``D_(y,x) = D_(x,y)^(-1) = D_(x,y)^*`` exactly.
+    The connection is built for the canonical pair, lower index first, from
+    one chain split; the reversed pair gets its spin adjoint, so
+    ``D_(y,x) = D_(x,y)^(-1) = D_(x,y)^*`` holds exactly, and records the
+    negative phase.
 
     The degenerate pair ``x == y`` returns the identity: no admissible phase
     is compatible with the inverse property on the diagonal, and triangle
@@ -597,11 +590,10 @@ def spin_connection(
     ix, iy = system.index(x_id), system.index(y_id)
     canonical = ix < iy
     a_id, b_id = (x_id, y_id) if canonical else (y_id, x_id)
-    hint = clifford_hint if canonical else (
-        (clifford_hint[1], clifford_hint[0]) if clifford_hint else None
-    )
+    hint = clifford_hint if canonical or not clifford_hint else clifford_hint[::-1]
+    connection = _connection_map(system, a_id, b_id)
     if hint is not None:
-        phi_abs, residual = _scan_phi(system, a_id, b_id, hint[0], hint[1])
+        phi_abs, residual = _scan_phi(system, a_id, b_id, connection, *hint)
         if residual > cond2_tol:
             raise NotSpinConnectableError(
                 f"no admissible phase matches the Clifford hint for "
@@ -611,9 +603,12 @@ def spin_connection(
     else:
         phi_abs = PHI_DEFAULT
         meta = {"phi_source": "default"}
-    phi = phi_abs if canonical else -phi_abs
     meta["canonical_order"] = canonical
-    return SpinConnection(x_id, y_id, phi, _connection_map(system, x_id, y_id)(phi), meta)
+    d = connection(phi_abs)
+    if canonical:
+        return SpinConnection(x_id, y_id, phi_abs, d, meta)
+    g_a, g_b = (system.spin_space(i).gram_diag for i in (a_id, b_id))
+    return SpinConnection(x_id, y_id, -phi_abs, spin_adjoint(d, g_b, g_a), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -686,22 +681,13 @@ def holonomy(
 ) -> np.ndarray:
     """Holonomy of the spin connection around the triangle (x, y, z).
 
-    Splice maps reconcile the per-pair reference Clifford subspaces at every
-    corner; without a provider they are identities.  The result is a unitary
-    on the spin space at ``x``.
+    The spliced transport along x -> z -> y -> x (:func:`compose_transport`),
+    closed by the splice at ``x`` from the pair subspace of ``(x, y)`` to the
+    one of ``(x, z)``; without a provider every splice is the identity.  The
+    result is a unitary on the spin space at ``x``.
     """
-
-    def conn(a, b):
-        return spin_connection(system, a, b).matrix
-
-    return (
-        _splice(system, clifford_provider, x_id, y_id, z_id)
-        @ conn(x_id, y_id)
-        @ _splice(system, clifford_provider, y_id, z_id, x_id)
-        @ conn(y_id, z_id)
-        @ _splice(system, clifford_provider, z_id, x_id, y_id)
-        @ conn(z_id, x_id)
-    )
+    total, _ = compose_transport(system, [x_id, z_id, y_id, x_id], clifford_provider)
+    return _splice(system, clifford_provider, x_id, y_id, z_id) @ total
 
 
 @dataclass(frozen=True)
@@ -722,19 +708,20 @@ def metric_connection(
     t_y: CliffordSubspace,
     k_xy: CliffordSubspace | None = None,
     k_yx: CliffordSubspace | None = None,
-    use_hint: bool = False,
     cond2_tol: float = 1e-6,
 ) -> MetricTransport:
     """Metric connection: splice to the pair subspaces, conjugate with the
     spin connection, splice back to the tangent representatives.
 
-    With ``use_hint`` the connection phase is scanned to best map the pair
-    subspaces onto each other (accepting mismatches up to ``cond2_tol``);
-    otherwise the default phase is used.  The returned matrix expresses the
+    Given both pair subspaces ``k_xy`` and ``k_yx``, the connection phase is
+    scanned to best map them onto each other (accepting mismatches up to
+    ``cond2_tol``); otherwise the default phase is used and the tangent
+    representatives stand in for them.  The returned matrix expresses the
     transported generators of ``t_y`` in the generator basis of ``t_x``; the
     residuals record how far the image lies outside the target span and the
     isometry defect of the induced bilinear forms.
     """
+    hint = (k_xy, k_yx) if k_xy is not None and k_yx is not None else None
     if k_xy is None:
         k_xy = t_x
     if k_yx is None:
@@ -743,7 +730,6 @@ def metric_connection(
     spin_y = system.spin_space(y_id)
     v_y = splice_map(spin_y, k_from=t_y, k_to=k_yx)
     w_x = splice_map(spin_x, k_from=k_xy, k_to=t_x)
-    hint = (k_xy, k_yx) if use_hint and x_id != y_id else None
     d = spin_connection(
         system, x_id, y_id, clifford_hint=hint, cond2_tol=cond2_tol
     ).matrix
@@ -752,26 +738,19 @@ def metric_connection(
     v_inv = spin_adjoint(v_y, gy, gy)
     w_inv = spin_adjoint(w_x, gx, gx)
 
+    # every generator of t_y mapped at once, one least-squares column each
+    gens = np.stack(t_y.generators)
+    imgs = (w_x @ (d @ (v_y @ gens @ v_inv) @ d_inv) @ w_inv).reshape(len(gens), -1).T
     basis = np.stack([g.ravel() for g in t_x.generators], axis=1)
-    cols, span_resid, imag_resid = [], 0.0, 0.0
-    for g in t_y.generators:
-        img = w_x @ (d @ (v_y @ g @ v_inv) @ d_inv) @ w_inv
-        coef, res, _, _ = np.linalg.lstsq(basis, img.ravel(), rcond=None)
-        recon = basis @ coef
-        span_resid = max(
-            span_resid,
-            float(np.linalg.norm(img.ravel() - recon) / max(np.linalg.norm(img), 1e-300)),
-        )
-        imag_resid = max(imag_resid, float(np.abs(coef.imag).max(initial=0.0)))
-        cols.append(coef.real)
-    mat = np.stack(cols, axis=1)
+    coef = np.linalg.lstsq(basis, imgs, rcond=None)[0]
+    span = np.linalg.norm(imgs - basis @ coef, axis=0) / np.maximum(
+        np.linalg.norm(imgs, axis=0), 1e-300
+    )
+    mat = coef.real
     iso_defect = float(
         np.linalg.norm(mat.T @ t_x.metric @ mat - t_y.metric)
         / max(np.linalg.norm(t_y.metric), 1e-300)
     )
-    return MetricTransport(
-        x_id,
-        y_id,
-        mat,
-        {"span": span_resid, "imag": imag_resid, "isometry": iso_defect},
-    )
+    imag = float(np.abs(coef.imag).max(initial=0.0))
+    residuals = {"span": float(span.max()), "imag": imag, "isometry": iso_defect}
+    return MetricTransport(x_id, y_id, mat, residuals)

@@ -163,6 +163,36 @@ class TestRetract:
             retract(x, u, 0.5)  # pushes the negative eigenvalue across zero
         assert len(err.value.args) >= 2  # offending eigenvalues attached
 
+    def test_one_eigendecomposition(self, monkeypatch):
+        # the retracted point is built from the eigenpairs the truncation kept
+        rng = np.random.default_rng(71)
+        x = random_regular_point(8, 2, rng)
+        u = random_tangent(x, rng)
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        out = retract(x, u, 1e-3)
+        monkeypatch.undo()
+        assert calls == [(8, 8)]
+        want = OperatorPoint(out.matrix)
+        assert np.allclose(out.nonzero_eigenvalues(), want.nonzero_eigenvalues(), atol=1e-12)
+        b, c = out.image_basis(), want.image_basis()
+        assert np.allclose(b @ b.conj().T, c @ c.conj().T, atol=1e-10)
+
+    def test_kept_eigenvalue_below_zero_cut_raises(self):
+        # the signature still splits (1, 1), but the negative eigenvalue is
+        # pushed to -1e-14, below the zero cut
+        x = OperatorPoint(np.diag([1.0, -1.0, 0.0, 0.0]))
+        direction = np.zeros((4, 4), dtype=complex)
+        direction[1, 1] = 1.0 - 1e-14
+        with pytest.raises(LeftManifoldError):
+            retract(x, TangentVector(x, direction), 1.0)
+
     def test_unbalanced_signature_rejected(self):
         x = OperatorPoint(np.diag([1.0, 1.0, -1.0, 0.0]))
         u = TangentVector(x, np.zeros((4, 4), dtype=complex))

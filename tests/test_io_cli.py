@@ -175,7 +175,7 @@ class TestSystemFile:
         }
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="point 'a': matrix is not self-adjoint"):
             read_system(path)
 
     def test_malformed_json_reports_line(self, tmp_path):
@@ -354,6 +354,10 @@ class TestDistanceCsv:
         assert lines[5] == "id," + ",".join(ids)
         assert lines[6:] == want
         assert fmt(np.inf) == "inf" and fmt(-np.inf) == "-inf" and fmt(0.0) == "0"
+
+
+#: A valid one-point Minkowski config, the base of malformed variants.
+_SEA = {"kind": "minkowski", "mass": 1.0, "kmax": 1, "sample_points": [[0.0, 0.0, 0.0, 0.0]]}
 
 
 @pytest.fixture(scope="module")
@@ -606,6 +610,50 @@ class TestCli:
         assert code == 3
 
     @pytest.mark.parametrize(
+        "config, argv, code",
+        [
+            ([_SEA], ["generate"], 1),
+            ({"kind": "mixture", "weights": [1.0]}, ["generate"], 1),
+            ({**_SEA, "sample_points": [[0.0, 0.0, 0.0]]}, ["generate"], 1),
+            ({**_SEA, "mass": "a"}, ["generate"], 1),
+            ({**_SEA, "kmax": 1.5}, ["generate"], 1),
+            (
+                {"kind": "mixture", "weights": [0.5, 0.5], "components": [_SEA, {**_SEA, "kmax": 0}]},
+                ["generate"],
+                1,
+            ),
+            (_SEA, ["converge", "--eps-list", "0.001,abc", "--refine-list", "2"], 2),
+            (_SEA, ["converge", "--eps-list", "0.001", "--refine-list", "0"], 2),
+            (None, ["connect", "--path", "p0000,zzz"], 1),
+            (None, ["holonomy", "--triangle", "p0000,p0001,zzz"], 1),
+        ],
+        ids=[
+            "array-config",
+            "mixture-without-components",
+            "three-coordinates",
+            "string-mass",
+            "fractional-kmax",
+            "mixture-kmax-mismatch",
+            "eps-list-word",
+            "refine-list-zero",
+            "connect-unknown-id",
+            "holonomy-unknown-id",
+        ],
+    )
+    def test_bad_input_fails_in_one_line(self, config, argv, code, generated, tmp_path, capsys):
+        _, _, sys_path = generated
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        source = ["--config", str(cfg_path)] if config is not None else ["--system", str(sys_path)]
+        try:
+            got = main([*argv, *source, "--out", str(tmp_path / "out")])
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "patch",
         [
             {"points": [{"id": "a", "weight": 1.0, "matrix": [[1.0], [0.0, 0.0], [-1.0, 0.0]]}]},
@@ -782,7 +830,7 @@ class TestCli:
             assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("first, second", [(2, 35), (35, 2)])
-    # _compute_block returns (codes, orient, cvals, specrad)
+    # PairEngine._compute_block returns (codes, orient, cvals, specrad)
     @pytest.mark.parametrize(
         "field, message", [(2, "antisymmetry defect"), (0, "classification asymmetry")]
     )
@@ -794,11 +842,11 @@ class TestCli:
         system = random_regular_system(40, 6, 2, rng)
         x, y = system.points[first].op, system.points[second].op
         lx, ly = x.nonzero_eigenvalues(), y.nonzero_eigenvalues()
-        compute = pairs._compute_block
+        compute = pairs.PairEngine._compute_block
 
-        def corrupted(state, i0, i1, j0, j1):
-            out = compute(state, i0, i1, j0, j1)
-            lams = state["lams"]
+        def corrupted(engine, i0, i1, j0, j1):
+            out = compute(engine, i0, i1, j0, j1)
+            lams = engine._lams
             for a in range(i0, i1):
                 for b in range(j0, j1):
                     if np.array_equal(lams[a], lx) and np.array_equal(lams[b], ly):
@@ -807,7 +855,7 @@ class TestCli:
                         block[a - i0, b - j0] = (block[a - i0, b - j0] + 1) % 3
             return out
 
-        monkeypatch.setattr(pairs, "_compute_block", corrupted)
+        monkeypatch.setattr(pairs.PairEngine, "_compute_block", corrupted)
         failures = validate_system(system)
         ids = sorted([system.ids[first], system.ids[second]])
         assert len(failures) == 1

@@ -234,8 +234,8 @@ class TestSpinConnection:
         system = CausalFermionSystem(2, [("x", 1.0, x)])
         from cfslab.spin import _split_chain
 
-        _, inv_half = _split_chain(system, "x", "x", system.tolerances)
-        p = cl.kernel(system, "x", "x").matrix
+        _, inv_half, p = _split_chain(system, "x", "x")
+        assert np.array_equal(p, cl.kernel(system, "x", "x").matrix)
         signs = np.sign(x.nonzero_eigenvalues())
         assert np.allclose(inv_half @ p, np.diag(signs), atol=1e-10)
         conn = cl.spin_connection(system, "x", "x")
@@ -265,6 +265,51 @@ class TestSpinConnection:
                 < 1e-9 * max(np.linalg.norm(a_xy), 1.0)
             )
         assert checked >= 15
+
+    def test_reversed_pair_is_the_spin_adjoint(self, small_minkowski):
+        # the reversed pair's matrix is the adjoint of the canonical one, bit
+        # for bit, with the default phase and with a scanned one
+        def check(system, x, y, hint=None, **kw):
+            d_xy = cl.spin_connection(system, x, y, clifford_hint=hint, **kw)
+            rev = hint[::-1] if hint else None
+            d_yx = cl.spin_connection(system, y, x, clifford_hint=rev, **kw)
+            gx = system.spin_space(x).gram_diag
+            gy = system.spin_space(y).gram_diag
+            assert np.array_equal(d_yx.matrix, spin_adjoint(d_xy.matrix, gy, gx))
+            assert d_yx.phi == -d_xy.phi
+
+        rng = np.random.default_rng(37)
+        checked = 0
+        for _ in range(20):
+            system = connectable_pair_system(8, 2, rng)
+            if cl.spin_connectable(system, "x", "y"):
+                check(system, "x", "y")
+                checked += 1
+        assert checked >= 8
+        _, system, modes = small_minkowski
+        x, y = "p0000", "p0001"
+        check(system, x, y)
+        hint = (mk.dirac_frame(system, modes, x, y), mk.dirac_frame(system, modes, y, x))
+        check(system, x, y, hint, cond2_tol=0.2)
+
+    def test_hinted_connection_splits_its_chain_once(self, small_minkowski, monkeypatch):
+        from cfslab import spin
+
+        _, system, modes = small_minkowski
+        calls = []
+        split = spin._split_chain
+
+        def counted(*args):
+            calls.append(args[1:3])
+            return split(*args)
+
+        monkeypatch.setattr(spin, "_split_chain", counted)
+        hint = (
+            mk.dirac_frame(system, modes, "p0001", "p0000"),
+            mk.dirac_frame(system, modes, "p0000", "p0001"),
+        )
+        cl.spin_connection(system, "p0001", "p0000", clifford_hint=hint, cond2_tol=0.2)
+        assert calls == [("p0000", "p0001")]
 
     def test_minkowski_pair_roundtrip(self, small_minkowski):
         _, system, _ = small_minkowski
@@ -326,7 +371,7 @@ class TestSpinConnection:
         gy = system.spin_space(y).gram_diag
         d_inv = spin_adjoint(d, gy, gx)
         mapped = CliffordSubspace(
-            tuple(d_inv @ g @ d for g in k_xy.generators), k_xy.metric, k_xy.signature, y
+            tuple(d_inv @ g @ d for g in k_xy.generators), k_xy.metric, k_xy.signature
         )
         # the scan evaluates this same arithmetic at the returned phase
         assert conn.metadata["hint_residual"] == grassmann_residual(mapped, k_yx)
@@ -449,8 +494,7 @@ class TestMetricConnection:
         k_xy = mk.dirac_frame(system, modes, "p0001", "p0000")
         k_yx = mk.dirac_frame(system, modes, "p0000", "p0001")
         out = cl.metric_connection(
-            system, "p0001", "p0000", t_x, t_y, k_xy, k_yx,
-            use_hint=True, cond2_tol=0.2,
+            system, "p0001", "p0000", t_x, t_y, k_xy, k_yx, cond2_tol=0.2
         )
         # the transported generators stay inside the target span up to the
         # recorded mismatch, and the bilinear forms agree at that level
