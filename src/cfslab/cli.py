@@ -272,19 +272,25 @@ def validate_system(system: CausalFermionSystem) -> list[str]:
     return failures
 
 
-def _positive_list(kind):
-    """Argument type: comma-separated positive finite values of ``kind``."""
+def _positive(kind):
+    """Argument type: one positive finite value of ``kind``."""
 
-    def parse(text: str) -> list:
+    def parse(text: str):
         try:
-            values = [kind(v) for v in text.split(",")]
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not a list of {kind.__name__}s: {text!r}")
-        if not all(math.isfinite(v) and v > 0 for v in values):
-            raise argparse.ArgumentTypeError(f"values must be positive and finite: {text!r}")
-        return values
+            raise argparse.ArgumentTypeError(f"not a {kind.__name__}: {text!r}") from None
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"value must be positive and finite: {text!r}")
+        return value
 
     return parse
+
+
+def _positive_list(kind):
+    """Argument type: comma-separated positive finite values of ``kind``."""
+    one = _positive(kind)
+    return lambda text: [one(v) for v in text.split(",")]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -351,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--eps-list", required=True, type=_positive_list(float))
     p.add_argument("--refine-list", required=True, type=_positive_list(int))
-    p.add_argument("--duration", type=float, default=0.6)
+    p.add_argument("--duration", type=_positive(float), default=0.6)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_converge)
 
@@ -367,12 +373,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # overflow and invalid values end in a finiteness check or a LAPACK
-        # error, reported below in one line; numpy's floating-point warnings,
-        # raised in the pair analysis's worker threads too, would precede it
-        with warnings.catch_warnings():
+        # a failure prints one line: warnings are recorded while the command
+        # runs and shown only when it succeeds.  Overflow and invalid values
+        # end in a finiteness check or a LAPACK error, so numpy's
+        # floating-point warnings, raised in the pair analysis's worker
+        # threads too, are dropped
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("ignore", RuntimeWarning)
-            return args.func(args)
+            code = args.func(args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -382,6 +390,9 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    return code
 
 
 if __name__ == "__main__":

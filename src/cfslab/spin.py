@@ -377,9 +377,12 @@ def grassmann_residual(k1: CliffordSubspace, k2: CliffordSubspace) -> float:
 def _eta_frame(subspace: CliffordSubspace):
     """Pseudo-orthonormal generator frame, positives first.
 
-    Pivoted Gram-Schmidt in the induced bilinear form; the pivot choice
-    depends only on form values, so the construction commutes with unitary
-    conjugation of the whole subspace.
+    Pivoted Gram-Schmidt in the induced bilinear form, pivoting on the
+    largest ``|form(h, h)|``.  The pivot depends only on form values, so in
+    exact arithmetic the construction commutes with unitary conjugation of
+    the whole subspace.  In floating point it need not: for a frame that is
+    already pseudo-orthonormal every candidate reads 1 to within about
+    1e-15, so rounding picks the pivot and with it the returned vectors.
     """
 
     def form(u, v):
@@ -495,11 +498,14 @@ def spin_connectable(system: CausalFermionSystem, x_id: str, y_id: str) -> bool:
 
 
 def _connection_map(system: CausalFermionSystem, x_id: str, y_id: str):
-    """The pair's connection ``phi -> (cos phi + i sin phi v) A^(-1/2) P(x, y)``.
+    """The pair's connection ``phi -> (cos phi + i sin phi v) A^(-1/2) P(x, y)``,
+    with its sign operator ``v`` and ``K = A^(-1/2) P(x, y)``.
 
     ``v``, ``A^(-1/2)`` and ``P(x, y)`` come from one :func:`_split_chain`,
     so evaluating the returned function forms only the rotation and two
-    products.  Raises ``NotSpinConnectableError`` as that function does.
+    products.  ``v`` and ``K`` do not depend on ``phi``; the phase scan
+    builds its closed form from them once (:func:`_phase_residuals`).
+    Raises ``NotSpinConnectableError`` as :func:`_split_chain` does.
     """
     v, inv_half, p = _split_chain(system, x_id, y_id)
     eye = np.eye(v.shape[0])
@@ -508,23 +514,62 @@ def _connection_map(system: CausalFermionSystem, x_id: str, y_id: str):
         rot = math.cos(phi) * eye + 1j * math.sin(phi) * v
         return rot @ inv_half @ p
 
-    return at
+    return at, v, inv_half @ p
 
 
-def _scan_phi(system, x_id, y_id, connection, k_xy, k_yx):
-    """Best condition-(ii) phase of the pair's ``connection`` map over both
-    admissible ranges.
+def _phase_residuals(gx, gy, v, k, generators, target):
+    """Condition-(ii) residual of the connection ``(v, k)`` as a function of
+    an array of phases, in closed form.
+
+    With ``D = (c + i s v) K``, ``c = cos phi``, ``s = sin phi`` and
+    ``v^2 = 1``, every ``generators`` entry ``g`` (at x) maps to
+    ``D* g D = c^2 K*gK + s^2 K*v*gvK + c s i (K*gvK - K*v*gK)`` (at y),
+    where ``*`` is the exact spin adjoint.  The three stacked terms are
+    formed once; each evaluation is one batched QR of the mapped generator
+    spans and one batched SVD of their projection off ``target``, an
+    orthonormal frame (:func:`_subspace_frame`) of the reference span at y.
+    The largest singular value is the sine of the largest principal angle.
+    """
+    gens = np.stack(generators)
+    k_adj = spin_adjoint(k, gy, gx)
+    v_adj = spin_adjoint(v, gx, gx)
+    gv, vg = gens @ v, v_adj @ gens
+    terms = [k_adj @ m @ k for m in (gens, vg @ v, 1j * (gv - vg))]
+    t0, t1, t2 = (t.reshape(len(gens), -1).T for t in terms)
+
+    def residuals(phis) -> np.ndarray:
+        c, s = np.cos(phis)[:, None, None], np.sin(phis)[:, None, None]
+        q = np.linalg.qr(c * c * t0 + s * s * t1 + c * s * t2)[0]
+        off = q - target @ (target.conj().T @ q)
+        return np.linalg.svd(off, compute_uv=False)[:, 0]
+
+    return residuals
+
+
+def _scan_phi(system, x_id, y_id, connection, v, k, k_xy, k_yx):
+    """Best condition-(ii) phase of the pair's ``connection`` map, with sign
+    operator ``v`` and ``K = k``, over both admissible ranges.
 
     The residual is the Grassmann mismatch of ``k_yx`` and the ``k_xy``
-    generators conjugated by the candidate connection.  Coarse grid plus
-    golden-section refinement; on a tie the positive range wins, keeping
-    reports deterministic.
+    generators conjugated by the connection at a phase.  In each range the
+    coarse grid is one batched closed-form evaluation
+    (:func:`_phase_residuals`) and the golden-section refinement evaluates
+    the same closed form at one phase per step.  The range's result is then
+    evaluated explicitly, conjugating by ``connection(phi)`` and comparing
+    the generator spans with ``subspace_angles``, as
+    :func:`grassmann_residual` does; that value is the one returned and
+    compared.  On a tie the positive range wins, keeping reports
+    deterministic.
     """
     gx = system.spin_space(x_id).gram_diag
     gy = system.spin_space(y_id).gram_diag
     target = _subspace_frame(k_yx.generators)
+    closed_form = _phase_residuals(gx, gy, v, k, k_xy.generators, target)
 
     def residual(phi):
+        return float(closed_form(np.array([phi]))[0])
+
+    def explicit(phi):
         d = connection(phi)
         d_inv = spin_adjoint(d, gy, gx)
         mapped = _subspace_frame([d_inv @ g @ d for g in k_xy.generators])
@@ -534,10 +579,9 @@ def _scan_phi(system, x_id, y_id, connection, k_xy, k_yx):
     best = None
     for lo, hi in PHI_RANGES:
         grid = np.linspace(lo, hi, 41)[1:-1]
-        vals = [residual(p) for p in grid]
-        k = int(np.argmin(vals))
-        a = grid[max(k - 1, 0)]
-        b = grid[min(k + 1, len(grid) - 1)]
+        k_min = int(np.argmin(closed_form(grid)))
+        a = grid[max(k_min - 1, 0)]
+        b = grid[min(k_min + 1, len(grid) - 1)]
         gr = (math.sqrt(5.0) - 1.0) / 2.0
         c, d = b - gr * (b - a), a + gr * (b - a)
         fc, fd = residual(c), residual(d)
@@ -551,7 +595,7 @@ def _scan_phi(system, x_id, y_id, connection, k_xy, k_yx):
                 d = a + gr * (b - a)
                 fd = residual(d)
         phi = 0.5 * (a + b)
-        res = residual(phi)
+        res = explicit(phi)
         # strict improvement keeps the positive range on exact ties
         if best is None or res < best[1] - 1e-15:
             best = (phi, res)
@@ -591,9 +635,9 @@ def spin_connection(
     canonical = ix < iy
     a_id, b_id = (x_id, y_id) if canonical else (y_id, x_id)
     hint = clifford_hint if canonical or not clifford_hint else clifford_hint[::-1]
-    connection = _connection_map(system, a_id, b_id)
+    connection, v, k = _connection_map(system, a_id, b_id)
     if hint is not None:
-        phi_abs, residual = _scan_phi(system, a_id, b_id, connection, *hint)
+        phi_abs, residual = _scan_phi(system, a_id, b_id, connection, v, k, *hint)
         if residual > cond2_tol:
             raise NotSpinConnectableError(
                 f"no admissible phase matches the Clifford hint for "

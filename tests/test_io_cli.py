@@ -5,7 +5,11 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -624,6 +628,12 @@ class TestCli:
             ),
             (_SEA, ["converge", "--eps-list", "0.001,abc", "--refine-list", "2"], 2),
             (_SEA, ["converge", "--eps-list", "0.001", "--refine-list", "0"], 2),
+            *(
+                (_SEA, ["converge", "--eps-list", "0.001", "--refine-list", "2", f"--duration={d}"], c)
+                for d, c in (("0", 2), ("-1", 2), ("nan", 2), ("1e300", 1))
+            ),
+            ({**_SEA, "torus_radius": 1e-300}, ["generate"], 1),
+            ({**_SEA, "torus_radius": 1e300}, ["generate"], 1),
             (None, ["connect", "--path", "p0000,zzz"], 1),
             (None, ["holonomy", "--triangle", "p0000,p0001,zzz"], 1),
         ],
@@ -636,6 +646,12 @@ class TestCli:
             "mixture-kmax-mismatch",
             "eps-list-word",
             "refine-list-zero",
+            "duration-zero",
+            "duration-negative",
+            "duration-nan",
+            "duration-overflowing-interval",
+            "torus-volume-underflow",
+            "torus-volume-overflow",
             "connect-unknown-id",
             "holonomy-unknown-id",
         ],
@@ -828,6 +844,37 @@ class TestCli:
             assert [w.category for w in caught] == []
             err = capsys.readouterr().err
             assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "config, argv, code",
+        [
+            ({**_SEA, "mass": 1e308}, ["generate"], 1),
+            (_SEA, ["converge", "--eps-list", "1e300", "--refine-list", "2"], 3),
+            ({**_SEA, "mass": 20.0, "kmax": 0}, ["generate"], 0),
+        ],
+        ids=["generate-fails", "converge-fails", "generate-succeeds"],
+    )
+    def test_config_warning_shown_only_on_success(self, config, argv, code, tmp_path):
+        # "eps * mass is not small": run as from the shell, in a separate
+        # process, so that the warning reaches stderr and not pytest's capture
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        cli = [sys.executable, "-m", "cfslab.cli", *argv]
+        proc = subprocess.run(
+            [*cli, "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == code
+        if code:
+            assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        else:
+            assert "UserWarning: eps * mass" in proc.stderr
 
     @pytest.mark.parametrize("first, second", [(2, 35), (35, 2)])
     # PairEngine._compute_block returns (codes, orient, cvals, specrad)

@@ -1,5 +1,7 @@
 """Kernels, closed chains, sign operators, Clifford subspaces, connections."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -392,6 +394,79 @@ class TestSpinConnection:
         )
         assert conn.metadata["phi_source"] == "hint"
         assert conn.metadata["hint_residual"] < 0.2
+
+    @staticmethod
+    def _explicit_residual(system, x, y, connection, k_xy, k_yx):
+        """Condition-(ii) residual by its definition: conjugate every
+        generator by the connection at ``phi`` and compare the spans."""
+        gx = system.spin_space(x).gram_diag
+        gy = system.spin_space(y).gram_diag
+
+        def residual(phi):
+            d = connection(phi)
+            d_inv = spin_adjoint(d, gy, gx)
+            mapped = CliffordSubspace(
+                tuple(d_inv @ g @ d for g in k_xy.generators), k_xy.metric, k_xy.signature
+            )
+            return grassmann_residual(mapped, k_yx)
+
+        return residual
+
+    @pytest.mark.parametrize("x, y", [("p0000", "p0001"), ("p0001", "p0000")])
+    def test_closed_form_residual_matches_definition(self, small_minkowski, x, y):
+        from cfslab import spin
+
+        _, system, modes = small_minkowski
+        k_xy = mk.dirac_frame(system, modes, x, y)
+        k_yx = mk.dirac_frame(system, modes, y, x)
+        connection, v, k = spin._connection_map(system, x, y)
+        closed_form = spin._phase_residuals(
+            system.spin_space(x).gram_diag,
+            system.spin_space(y).gram_diag,
+            v,
+            k,
+            k_xy.generators,
+            spin._subspace_frame(k_yx.generators),
+        )
+        explicit = self._explicit_residual(system, x, y, connection, k_xy, k_yx)
+        rng = np.random.default_rng(41)
+        phis = np.concatenate([rng.uniform(lo, hi, 50) for lo, hi in spin.PHI_RANGES])
+        want = np.array([explicit(p) for p in phis])
+        assert np.abs(closed_form(phis) - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("x, y", [("p0000", "p0001"), ("p0001", "p0000")])
+    def test_scan_matches_explicit_reference_scan(self, small_minkowski, x, y):
+        # the grid, bracket and golden-section steps of the scan, with every
+        # residual evaluated by its definition
+        from cfslab import spin
+
+        _, system, modes = small_minkowski
+        k_xy = mk.dirac_frame(system, modes, x, y)
+        k_yx = mk.dirac_frame(system, modes, y, x)
+        connection, v, k = spin._connection_map(system, x, y)
+        residual = self._explicit_residual(system, x, y, connection, k_xy, k_yx)
+        best = None
+        for lo, hi in spin.PHI_RANGES:
+            grid = np.linspace(lo, hi, 41)[1:-1]
+            i = int(np.argmin([residual(p) for p in grid]))
+            a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+            gr = (math.sqrt(5.0) - 1.0) / 2.0
+            c, d = b - gr * (b - a), a + gr * (b - a)
+            fc, fd = residual(c), residual(d)
+            for _ in range(40):
+                if fc < fd:
+                    b, d, fd = d, c, fc
+                    c = b - gr * (b - a)
+                    fc = residual(c)
+                else:
+                    a, c, fc = c, d, fd
+                    d = a + gr * (b - a)
+                    fd = residual(d)
+            phi = 0.5 * (a + b)
+            res = residual(phi)
+            if best is None or res < best[1] - 1e-15:
+                best = (phi, res)
+        assert spin._scan_phi(system, x, y, connection, v, k, k_xy, k_yx) == best
 
 
 class TestSplice:
