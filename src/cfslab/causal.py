@@ -22,7 +22,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .core import CausalFermionSystem, OperatorPoint, product_spectrum
+from .core import CausalFermionSystem, OperatorPoint, _pair
 from .errors import ValidationError
 from .pairs import PairEngine
 
@@ -58,11 +58,11 @@ class LengthScales:
 def ell(x: OperatorPoint, y: OperatorPoint, scales: LengthScales) -> float:
     """Length functional: |xy|^(-1/6) windowed to (l_min, l_max), else 0.
 
-    ``|xy|`` is the spectral radius of the product.  A vanishing product
-    (infinite nominal length) returns 0.
+    ``|xy|`` is the spectral radius of the product, from the pair routine
+    of :mod:`cfslab.core`.  A vanishing product (infinite nominal length)
+    returns 0.
     """
-    n = max(x.pos_eigs, x.neg_eigs, y.pos_eigs, y.neg_eigs, 1)
-    mag = float(np.abs(product_spectrum(x, y, n)).max())
+    mag = float(_pair(x, y)[4])
     if mag <= 0.0:
         return 0.0
     return scales.windowed(mag ** (-1.0 / 6.0))

@@ -2,10 +2,11 @@
 
 A point of the operator manifold is a self-adjoint finite-rank matrix with a
 bounded number of positive and negative eigenvalues.  A finite system is a
-weighted list of such points together with a spin dimension.  The operations
-here classify pairs of points as spacelike / timelike / lightlike from the
-spectrum of their product and orient timelike pairs in time via the
-commutator-trace functional.
+weighted list of such points together with a spin dimension.  One pair
+routine classifies pairs of points as spacelike / timelike / lightlike from
+the spectrum of their product, taken on the side of lower rank, and orients
+timelike pairs in time via the commutator-trace functional; the per-pair
+functions here run it on one pair, :class:`cfslab.pairs.PairEngine` on blocks.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ DEFAULT_TOL = Tolerances()
 
 
 class CausalClass(enum.Enum):
-    """Causal relation of a pair of points."""
+    """Causal relation of a pair of points; array outputs code a class by
+    its position here: 0 spacelike, 1 timelike, 2 lightlike."""
 
     SPACELIKE = "S"
     TIMELIKE = "T"
@@ -86,6 +88,10 @@ class CausalClass(enum.Enum):
     @property
     def symbol(self) -> str:
         return self.value
+
+
+_CLASSES = tuple(CausalClass)
+_SYMBOLS = np.array([c.symbol for c in CausalClass])
 
 
 def _hermitian(matrix) -> np.ndarray:
@@ -434,39 +440,108 @@ def restrict_to_regular(system: CausalFermionSystem) -> CausalFermionSystem:
     )
 
 
-def _check_same_f(x: OperatorPoint, y: OperatorPoint):
+def _padded_factors(points, n: int):
+    """Image bases ``(N, f, 2n)`` and nonzero eigenvalues ``(N, 2n)`` of
+    ``points``, zero-padded to the ``2 n`` slots; a rank above ``2 n`` is
+    refused.  A padded slot adds only a zero eigenvalue to a pair product,
+    and a point's rank is its count of nonzero padded eigenvalues.
+    """
+    slots = 2 * int(n)
+    bases = np.zeros((len(points), points[0].f, slots), dtype=np.complex128)
+    lams = np.zeros((len(points), slots), dtype=np.float64)
+    for k, x in enumerate(points):
+        if x.rank > slots:
+            raise ValidationError(
+                f"rank {x.rank} exceeds 2n={slots}; spin dimension too small"
+            )
+        bases[k, :, : x.rank] = x.image_basis()
+        lams[k, : x.rank] = x.nonzero_eigenvalues()
+    return bases, lams
+
+
+def _overlaps(bases, i0, i1, j0, j1):
+    """Overlap G[i, j] = B_i^+ B_j of a block, shape (ni, nj, r, r).
+
+    One small GEMM per pair, which BLAS runs single-threaded, so worker
+    threads do not contend for BLAS's own thread pool.
+    """
+    return bases[i0:i1].conj().swapaxes(1, 2)[:, None] @ bases[j0:j1][None]
+
+
+def _class_codes(w, tol: Tolerances):
+    """The rule of :func:`classify_spectrum` on ``(..., r)`` spectra: codes
+    indexing ``_CLASSES``, and the spectral radii."""
+    mods = np.abs(w)
+    mx = mods.max(axis=-1, initial=0.0)
+    spacelike = mx - mods.min(axis=-1, initial=np.inf) <= tol.eig_rel * mx
+    timelike = np.all(np.abs(w.imag) <= tol.imag_rel * mx[..., None], axis=-1)
+    return np.where(spacelike, 0, np.where(timelike, 1, 2)).astype(np.uint8), mx
+
+
+def _pair_block(g, lx, ly, tol: Tolerances):
+    """Pair quantities of a block of (row x, column y) points, from the
+    ``(ni, nj, r, r)`` overlaps ``g`` of the padded image bases and the
+    ``(ni, r)`` and ``(nj, r)`` padded eigenvalues ``lx`` and ``ly``.
+
+    Returns the ``(ni, nj, r)`` product spectra, then ``(ni, nj)`` class
+    codes, orientation signs, time directions and spectral radii.
+    """
+    gh = g.conj().swapaxes(-1, -2)
+    # The product on the side of lower rank: diag(lx) G diag(ly) G^+, or
+    # diag(ly) G^+ diag(lx) G where rank(x) > rank(y).  Both have the nonzero
+    # spectrum of xy; the padded slots of the lower-rank side are zero rows,
+    # so every eigenvalue beyond its rank is an exact zero.
+    m = (lx[:, None, :, None] * g * ly[None, :, None, :]) @ gh
+    i, j = np.nonzero(np.count_nonzero(lx, axis=1)[:, None] > np.count_nonzero(ly, axis=1))
+    m[i, j] = (ly[j, :, None] * gh[i, j] * lx[i, None, :]) @ g[i, j]
+    w = np.linalg.eigvals(m)
+    codes, specrad = _class_codes(w, tol)
+    # Time direction: tr(y x pi_y pi_x) = tr(G Ly G+ Lx G G+), and the
+    # second trace is its conjugate, so C = -2 Im of the first.
+    a1 = (g * ly[None, :, None, :]) @ gh
+    a2 = lx[:, None, :, None] * (g @ gh)
+    cvals = -2.0 * np.einsum("...ab,...ba->...", a1, a2).imag
+    sx, sy = (np.abs(lam).max(axis=1, initial=0.0) for lam in (lx, ly))
+    thr = tol.imag_rel * sx[:, None] * sy
+    orient = np.zeros(cvals.shape, dtype=np.int8)
+    orient[cvals > thr] = 1
+    orient[cvals < -thr] = -1
+    return w, codes, orient, cvals, specrad
+
+
+def _pair(x: OperatorPoint, y: OperatorPoint, n: int | None = None, tol=None):
+    """:func:`_pair_block`'s outputs for the one pair ``(x, y)``, with ``n``
+    defaulting as in :func:`classify`; two equal matrices get an exact zero
+    time direction and orientation."""
     if x.f != y.f:
         raise DimensionMismatchError(f"points live on f={x.f} and f={y.f}")
+    if n is None:
+        n = max(x.pos_eigs, x.neg_eigs, y.pos_eigs, y.neg_eigs, 1)
+    bases, lams = _padded_factors((x, y), n)
+    out = _pair_block(_overlaps(bases, 0, 1, 1, 2), lams[:1], lams[1:], tol or DEFAULT_TOL)
+    if x is y or np.array_equal(x.matrix, y.matrix):
+        out[2][:] = out[3][:] = 0
+    return [part[0, 0] for part in out]
 
 
 def product_spectrum(x: OperatorPoint, y: OperatorPoint, n: int) -> np.ndarray:
-    """Nontrivial eigenvalues of the product ``x y``, zero-padded to ``2 n``.
+    """Eigenvalues of the product ``x y`` in ``2 n`` slots.
 
-    The product is restricted to the image of ``x`` (an invariant subspace
-    containing every eigenvector with nonzero eigenvalue) and built from the
-    two points' factors: with the overlap ``G = Bx^+ By`` of their image
-    bases it is ``diag(lx) G diag(ly) G^+``, as in
+    The product is built from the two points' factors, zero-padded to the
+    ``2 n`` slots, on the side of lower rank: with the overlap ``G = Bx^+ By``
+    of their image bases it is ``diag(lx) G diag(ly) G^+``, or ``diag(ly) G^+
+    diag(lx) G`` when ``rank(x) > rank(y)``, as in every block of
     :class:`cfslab.pairs.PairEngine`.  So only a dense non-Hermitian
-    eigenproblem of size ``rank(x)`` is solved, the full ``f x f`` product
-    is never formed, and eigenvalues of ``y`` below the cut do not enter.
+    eigenproblem of size ``2 n`` is solved, the full ``f x f`` product is
+    never formed, and eigenvalues below the cut do not enter.
 
     Returns
     -------
-    (2 n,) complex ndarray, algebraic multiplicities included.
+    (2 n,) complex ndarray, algebraic multiplicities included, in no fixed
+    order.  Each padded slot of the side the product is taken on gives an
+    exact zero.  A rank of ``x`` or of ``y`` above ``2 n`` is refused.
     """
-    _check_same_f(x, y)
-    slots = 2 * int(n)
-    if x.rank > slots:
-        raise ValidationError(
-            f"rank(x)={x.rank} exceeds 2n={slots}; spin dimension too small"
-        )
-    out = np.zeros(slots, dtype=np.complex128)
-    if x.rank == 0 or y.rank == 0:
-        return out
-    g = x.image_basis().conj().T @ y.image_basis()
-    m = (x.nonzero_eigenvalues()[:, None] * g * y.nonzero_eigenvalues()) @ g.conj().T
-    out[: x.rank] = np.linalg.eigvals(m)
-    return out
+    return _pair(x, y, n)[0]
 
 
 def classify_spectrum(lams, tol: Tolerances | None = None) -> CausalClass:
@@ -475,19 +550,11 @@ def classify_spectrum(lams, tol: Tolerances | None = None) -> CausalClass:
     Spacelike if all moduli agree within ``eig_rel * max|lam|`` (in particular
     for the zero spectrum); else timelike if all imaginary parts are below
     ``imag_rel * max|lam|`` in magnitude; else lightlike.  The modulus test
-    runs first, making the classification scale-free.
+    runs first, making the classification scale-free.  This is the rule
+    :func:`classify` and :class:`cfslab.pairs.PairEngine` apply.
     """
-    tol = tol or DEFAULT_TOL
-    lams = np.asarray(lams, dtype=np.complex128)
-    if lams.size == 0:
-        return CausalClass.SPACELIKE
-    mods = np.abs(lams)
-    mx = float(mods.max())
-    if mx - float(mods.min()) <= tol.eig_rel * mx:
-        return CausalClass.SPACELIKE
-    if np.all(np.abs(lams.imag) <= tol.imag_rel * mx):
-        return CausalClass.TIMELIKE
-    return CausalClass.LIGHTLIKE
+    codes, _ = _class_codes(np.asarray(lams, dtype=np.complex128), tol or DEFAULT_TOL)
+    return _CLASSES[int(codes)]
 
 
 def classify(
@@ -496,15 +563,13 @@ def classify(
     tol: Tolerances | None = None,
     n: int | None = None,
 ) -> CausalClass:
-    """Causal class of the pair ``(x, y)``.
+    """Causal class of the pair ``(x, y)`` from its :func:`product_spectrum`.
 
     ``n`` fixes the number of eigenvalue slots (``2 n``, zeros included); when
     omitted it defaults to the smallest spin dimension admitting both points,
     which coincides with the system value for regular points.
     """
-    if n is None:
-        n = max(x.pos_eigs, x.neg_eigs, y.pos_eigs, y.neg_eigs, 1)
-    return classify_spectrum(product_spectrum(x, y, n), tol)
+    return _CLASSES[_pair(x, y, n, tol)[1]]
 
 
 def time_direction(x: OperatorPoint, y: OperatorPoint) -> float:
@@ -514,18 +579,7 @@ def time_direction(x: OperatorPoint, y: OperatorPoint) -> float:
     antisymmetric and vanishes identically on the diagonal (returned as an
     exact ``0.0`` when the two matrices coincide).
     """
-    _check_same_f(x, y)
-    if x is y or np.array_equal(x.matrix, y.matrix):
-        return 0.0
-    gxy = x.image_basis().conj().T @ y.image_basis()
-    lx = x.nonzero_eigenvalues()
-    ly = y.nonzero_eigenvalues()
-    # tr(y x pi_y pi_x) = tr(G Ly G+ Lx G G+) with G the basis overlap matrix;
-    # the second trace is its conjugate, so C = -2 Im of the first.
-    g_ly_gh = (gxy * ly) @ gxy.conj().T
-    g_gh = gxy @ gxy.conj().T
-    tr1 = np.trace(g_ly_gh @ (lx[:, None] * g_gh))
-    return float(-2.0 * tr1.imag)
+    return float(_pair(x, y)[3])
 
 
 def time_orientation(
@@ -536,11 +590,4 @@ def time_orientation(
     Values within ``imag_rel * ||x|| * ||y||`` of zero are reported as
     undirected rather than forced into future or past.
     """
-    tol = tol or DEFAULT_TOL
-    c = time_direction(x, y)
-    thr = tol.imag_rel * x.spectral_radius * y.spectral_radius
-    if c > thr:
-        return 1
-    if c < -thr:
-        return -1
-    return 0
+    return int(_pair(x, y, tol=tol)[2])

@@ -125,13 +125,15 @@ class MinkowskiConfig:
                 raise ValidationError(f"{name} must be {kind}, got {value!r}")
         if self.mass <= 0 or self.eps <= 0 or self.torus_radius <= 0:
             raise ValidationError("mass, eps, and torus_radius must be positive")
-        if not _mode_norm(self.torus_radius) > 0.0:
+        if self.kmax < 0:
+            raise ValidationError("kmax must be nonnegative")
+        # f norm^2 bounds a local correlation entry; build_modes refuses f > max_f
+        norm = _mode_norm(self.torus_radius)
+        if not (norm > 0.0 and norm * norm * min(self.f, self.max_f) < math.inf):
             raise ValidationError(
                 f"torus_radius = {self.torus_radius!r} gives a torus volume or mode "
                 "normalization that is not finite and positive"
             )
-        if self.kmax < 0:
-            raise ValidationError("kmax must be nonnegative")
         points = self.sample_points
         if not isinstance(points, _SEQUENCES) or not all(_reals(p, 4) for p in points):
             raise ValidationError("every sample point needs 4 finite coordinates")

@@ -1,16 +1,16 @@
 """Batched all-pairs causal analysis over a system.
 
-Every unordered pair needs the spectrum of the product of the two operators
-restricted to the image of the first one.  For a system of spin dimension
-``n`` that is one dense ``2n x 2n`` eigenproblem per pair, built from the
-overlap matrix of the two image bases; the full ``f x f`` product is never
-formed.  A singular point fills its image basis and eigenvalues up to the
-``2n`` slots with zeros, which add only zero eigenvalues to the product: the
-padding :func:`cfslab.core.product_spectrum` applies.  Work proceeds over
-fixed-size blocks of the pair matrix, spread over a pool of threads, so that
-results are bit-identical no matter how many worker threads are used.  The
-batched products and eigenproblems release the interpreter lock, so the
-threads run in parallel.
+:class:`PairEngine` runs the pair routine of :mod:`cfslab.core`, which the
+per-pair functions there run on a single pair, on blocks of the pair matrix.
+For a system of spin dimension ``n`` each pair needs one dense ``2n x 2n``
+eigenproblem, built from the overlap matrix of the two image bases on the
+side of the point of lower rank; the full ``f x f`` product is never formed.
+A singular point fills its image basis and eigenvalues up to the ``2n``
+slots with zeros, which add only zero eigenvalues to the product.  Work
+proceeds over fixed-size blocks of the pair matrix, spread over a pool of
+threads, so that results are bit-identical no matter how many worker threads
+are used.  The batched products and eigenproblems release the interpreter
+lock, so the threads run in parallel.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CausalFermionSystem, Tolerances
+from .core import (
+    _SYMBOLS, CausalFermionSystem, Tolerances, _overlaps, _padded_factors, _pair_block
+)
 from .errors import ValidationError
 
 __all__ = ["PairAnalysis", "PairEngine", "resolve_workers"]
@@ -30,9 +32,6 @@ __all__ = ["PairAnalysis", "PairEngine", "resolve_workers"]
 # count, determines the shapes seen by BLAS/LAPACK, hence the output bytes.
 # Each worker thread holds one block's temporaries; at 32 they stay small.
 _BLOCK = 32
-
-_CODES = {"S": 0, "T": 1, "L": 2}
-_SYMBOLS = np.array(["S", "T", "L"])
 
 
 @dataclass(frozen=True)
@@ -79,15 +78,6 @@ def _block_pairs(n_points: int):
             yield edges[bi], edges[bi + 1], edges[bj], edges[bj + 1]
 
 
-def _overlaps(bases, i0, i1, j0, j1):
-    """Overlap G[i, j] = B_i^+ B_j of a block, shape (ni, nj, r, r).
-
-    One small GEMM per pair, which BLAS runs single-threaded, so worker
-    threads do not contend for BLAS's own thread pool.
-    """
-    return bases[i0:i1].conj().swapaxes(1, 2)[:, None] @ bases[j0:j1][None]
-
-
 class PairEngine:
     """Vectorized pair analysis for any system, singular points included.
 
@@ -101,55 +91,15 @@ class PairEngine:
     def __init__(self, system: CausalFermionSystem, workers=None):
         self.system = system
         self.workers = resolve_workers(workers)
-        r = 2 * system.n
-        n_pts = len(system)
-        bases = np.zeros((n_pts, system.f, r), dtype=np.complex128)
-        lams = np.zeros((n_pts, r), dtype=np.float64)
-        for k, entry in enumerate(system.points):
-            # A singular point leaves its last 2n - rank slots zero.
-            rank = entry.op.rank
-            bases[k, :, :rank] = entry.op.image_basis()
-            lams[k, :rank] = entry.op.nonzero_eigenvalues()
-        self._bases = bases
-        self._lams = lams
-        self._srad = np.abs(lams).max(axis=1)
+        self._bases, self._lams = _padded_factors([e.op for e in system.points], system.n)
+        self._srad = np.abs(self._lams).max(axis=1)
 
     def _compute_block(self, i0, i1, j0, j1):
-        """Pair quantities for one block of (row, column) point indices."""
-        lams, srad = self._lams, self._srad
-        eig_rel = self.system.tolerances.eig_rel
-        imag_rel = self.system.tolerances.imag_rel
-
+        """Codes, orientation, time direction and spectral radius of one
+        block of (row, column) point indices."""
         g = _overlaps(self._bases, i0, i1, j0, j1)
-        gh = g.conj().swapaxes(-1, -2)
-        lx = lams[i0:i1]
-        ly = lams[j0:j1]
-
-        # Restricted product matrix M = diag(lx) G diag(ly) G^+ per pair.
-        m = (lx[:, None, :, None] * g * ly[None, :, None, :]) @ gh
-        w = np.linalg.eigvals(m)
-        mods = np.abs(w)
-        mx = mods.max(axis=-1)
-        mn = mods.min(axis=-1)
-        specrad = mx
-
-        codes = np.full(mx.shape, _CODES["L"], dtype=np.uint8)
-        spacelike = (mx - mn) <= eig_rel * mx
-        timelike = np.all(np.abs(w.imag) <= imag_rel * mx[..., None], axis=-1)
-        codes[timelike] = _CODES["T"]
-        codes[spacelike] = _CODES["S"]
-
-        # Time direction: C = -2 Im tr(G Ly G+ Lx G G+).
-        a1 = (g * ly[None, :, None, :]) @ gh
-        a2 = lx[:, None, :, None] * (g @ gh)
-        tr1 = np.einsum("...ab,...ba->...", a1, a2)
-        cvals = -2.0 * tr1.imag
-
-        thr = imag_rel * srad[i0:i1, None] * srad[None, j0:j1]
-        orient = np.zeros(cvals.shape, dtype=np.int8)
-        orient[cvals > thr] = 1
-        orient[cvals < -thr] = -1
-        return codes, orient, cvals, specrad
+        lams, tol = self._lams, self.system.tolerances
+        return _pair_block(g, lams[i0:i1], lams[j0:j1], tol)[1:]
 
     def _adjointness_block(self, i0, i1, j0, j1):
         """Relative defect of the kernel adjointness P(x, y)* = P(y, x) on a block.

@@ -11,9 +11,9 @@ import json
 
 import numpy as np
 
-from .core import Tolerances
+from .core import _SYMBOLS, Tolerances
 from .causal import CausalGraph
-from .pairs import _SYMBOLS, PairAnalysis
+from .pairs import PairAnalysis
 
 __all__ = [
     "classification_csv",

@@ -86,6 +86,15 @@ def full_product_spectrum(x, y, n):
     return out
 
 
+def full_time_direction(x, y):
+    """Independent oracle: ``i tr(y x pi_y pi_x - x y pi_x pi_y)`` from the
+    f x f matrices and the projectors onto the two images."""
+    px = x.image_basis() @ x.image_basis().conj().T
+    py = y.image_basis() @ y.image_basis().conj().T
+    a, b = x.matrix, y.matrix
+    return float((1j * np.trace(b @ a @ py @ px - a @ b @ px @ py)).real)
+
+
 def match_multisets(u, v, rtol, atol=0.0):
     """Greedy multiset matching of two complex spectra within tolerance."""
     v = list(np.asarray(v))

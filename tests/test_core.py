@@ -138,6 +138,7 @@ class TestProductSpectrum:
         x = OperatorPoint(np.diag([2.0, -1.0]))
         z = OperatorPoint(np.zeros((2, 2)))
         assert np.array_equal(product_spectrum(x, z, 1), np.zeros(2))
+        assert product_spectrum(z, z, 0).shape == (0,)
 
     def test_dimension_mismatch(self):
         x = OperatorPoint(np.diag([2.0, -1.0]))
@@ -153,6 +154,24 @@ class TestProductSpectrum:
             assert match_multisets(
                 product_spectrum(x, y, 2), full_product_spectrum(x, y, 2), 1e-9
             )
+
+    def test_refuses_either_rank_above_the_slots(self):
+        x = OperatorPoint(np.diag([2.0, 0.0, 0.0]))
+        y = OperatorPoint(np.diag([2.0, -1.0, 1.0]))
+        for pair in ((x, y), (y, x)):
+            with pytest.raises(ValidationError, match="rank 3 exceeds 2n=2"):
+                product_spectrum(*pair, 1)
+
+    def test_singular_x_gets_exact_zeros_in_its_padded_slots(self):
+        rng = np.random.default_rng(10)
+        for pos, neg in [(1, 0), (0, 1), (1, 1), (2, 1)]:
+            for _ in range(20):
+                x = random_point(8, pos, neg, rng)
+                y = random_regular_point(8, 2, rng)
+                lam = product_spectrum(x, y, 2)
+                assert np.count_nonzero(lam == 0) == 4 - x.rank
+                want = full_product_spectrum(x, y, 2)[: x.rank]
+                assert match_multisets(lam[lam != 0], want, 1e-9)
 
     def test_spectrum_of_xy_equals_yx(self):
         rng = np.random.default_rng(8)

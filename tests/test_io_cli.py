@@ -669,6 +669,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_overflowing_mode_normalization_names_torus_radius(self, tmp_path, capsys):
+        # the torus volume is representable but f times the squared mode
+        # normalization, a bound of the local correlation entries, is not
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**_SEA, "torus_radius": 1e-105}))
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "s.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "torus_radius" in err
+        assert not (tmp_path / "s.json").exists()
+
     @pytest.mark.parametrize(
         "patch",
         [

@@ -1,4 +1,4 @@
-"""Batched pair engine against the per-pair reference implementations."""
+"""Batched pair engine against dense f x f oracles and the per-pair functions."""
 
 import sys
 import threading
@@ -11,6 +11,7 @@ from cfslab.core import (
     CausalFermionSystem,
     OperatorPoint,
     classify,
+    classify_spectrum,
     product_spectrum,
     time_direction,
     time_orientation,
@@ -18,9 +19,28 @@ from cfslab.core import (
 from cfslab.errors import ValidationError
 from cfslab.pairs import PairEngine, resolve_workers
 
-from conftest import mixed_rank_system, random_point, random_regular_system
+from conftest import (
+    full_product_spectrum,
+    full_time_direction,
+    mixed_rank_system,
+    random_point,
+    random_regular_system,
+)
 
 _CLS = {0: CausalClass.SPACELIKE, 1: CausalClass.TIMELIKE, 2: CausalClass.LIGHTLIKE}
+
+
+def assert_matches_oracle(res, system, i, j):
+    """Entry (i, j) of an analysis against the dense f x f oracles."""
+    x, y, tol = system.points[i].op, system.points[j].op, system.tolerances
+    spectrum = full_product_spectrum(x, y, system.n)
+    assert _CLS[res.codes[i, j]] is classify_spectrum(spectrum, tol)
+    c = full_time_direction(x, y)
+    assert res.cvals[i, j] == pytest.approx(c, rel=1e-9, abs=1e-12)
+    thr = tol.imag_rel * x.spectral_radius * y.spectral_radius
+    assert res.orientation[i, j] == (c > thr) - (c < -thr)
+    sr = np.abs(spectrum).max()
+    assert res.specrad[i, j] == pytest.approx(sr, rel=1e-9, abs=1e-300)
 
 
 def assert_identical(a, b):
@@ -40,6 +60,7 @@ class TestEngineAgainstCore:
             for j, ej in enumerate(system.points):
                 if i == j:
                     continue
+                assert_matches_oracle(res, system, i, j)
                 assert _CLS[res.codes[i, j]] is classify(ei.op, ej.op, tol, n=2)
                 c = time_direction(ei.op, ej.op)
                 assert res.cvals[i, j] == pytest.approx(c, rel=1e-9, abs=1e-12)
@@ -62,6 +83,7 @@ class TestEngineAgainstCore:
         system = random_regular_system(70, 6, 1, rng)
         res = PairEngine(system, workers=1).analyze()
         for i, j in [(0, 65), (63, 64), (69, 1)]:
+            assert_matches_oracle(res, system, i, j)
             x, y = system.points[i].op, system.points[j].op
             assert _CLS[res.codes[i, j]] is classify(x, y, system.tolerances, n=1)
             assert res.cvals[i, j] == pytest.approx(
@@ -112,6 +134,7 @@ class TestEngineAgainstCore:
             for j, ej in enumerate(system.points):
                 if i == j:
                     continue
+                assert_matches_oracle(res, system, i, j)
                 x, y = ei.op, ej.op
                 assert _CLS[res.codes[i, j]] is classify(x, y, tol, n=2)
                 assert res.orientation[i, j] == time_orientation(x, y, tol)
@@ -139,6 +162,30 @@ class TestEngineAgainstCore:
         assert _CLS[res.codes[0, 1]] is CausalClass.TIMELIKE
         spectrum = product_spectrum(x, y, 2)
         assert np.abs(spectrum.imag).max() <= 1e-12 * np.abs(spectrum).max()
+
+        # y = 1.3 |v><v| with v in the image of x and <v|x|v> 1e-6 to 1e-5 of
+        # |x|: the product on the side of x, of rank 3, is near-defective and
+        # rounding put imaginary parts above imag_rel on its zero
+        # eigenvalues.  On the side of y the spectrum {lambda, 0, 0, 0} is
+        # exact, in both orders.
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            x = random_point(10, 2, 1, rng)
+            lx = x.nonzero_eigenvalues()
+            c = rng.normal(size=3) + 1j * rng.normal(size=3)
+            q = lx[0] * abs(c[0]) ** 2 + lx[1] * abs(c[1]) ** 2
+            target = 10.0 ** rng.uniform(-6, -5) * np.abs(lx).max()
+            c[2] *= np.sqrt((q - target) / -lx[2]) / abs(c[2])
+            v = x.image_basis() @ c
+            v /= np.linalg.norm(v)
+            y = OperatorPoint(1.3 * np.outer(v, v.conj()))
+            assert y.rank == 1
+            assert classify(x, y, n=2) is CausalClass.TIMELIKE
+            assert classify(y, x, n=2) is CausalClass.TIMELIKE
+            for pts in ([("x", 1.0, x), ("y", 1.0, y)], [("y", 1.0, y), ("x", 1.0, x)]):
+                res = PairEngine(CausalFermionSystem(2, pts), workers=1).analyze()
+                assert _CLS[res.codes[0, 1]] is CausalClass.TIMELIKE
+            assert np.count_nonzero(product_spectrum(x, y, 2) == 0) == 3
 
 
 class TestWorkerResolution:
