@@ -93,6 +93,8 @@ def _minkowski_config(doc: dict) -> minkowski.MinkowskiConfig:
     extra = set(doc) - known - {"kind"}
     if extra:
         raise ValidationError(f"unknown config fields: {sorted(extra)}")
+    if doc.get("kind", "minkowski") != "minkowski":
+        raise ValidationError(f"expected a Minkowski config, got kind {doc['kind']!r}")
     doc = {k: _tuples(v) for k, v in doc.items() if k != "kind"}
     return minkowski.MinkowskiConfig(**doc)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CausalFermionSystem, OperatorPoint, Tolerances
+from .core import CausalFermionSystem, OperatorPoint, Tolerances, _hermitian
 from .errors import DimensionMismatchError, ValidationError
 from .spin import CliffordSubspace, verify_clifford
 
@@ -261,9 +261,45 @@ def local_correlation(modes: ModeSet, point, eps: float) -> OperatorPoint:
     matrix; it has rank at most four with at most two positive and two
     negative eigenvalues.
     """
+    return OperatorPoint(_correlation_matrix(modes, point, eps))
+
+
+def _correlation_matrix(modes: ModeSet, point, eps: float) -> np.ndarray:
+    """The matrix ``-E^+ Sigma E`` of :func:`local_correlation`."""
     e = evaluation_matrix(modes, point, eps)
-    f_mat = -(e.conj().T @ (_GAMMA0 @ e))
-    return OperatorPoint(f_mat)
+    return -(e.conj().T @ (_GAMMA0 @ e))
+
+
+def _translates(modes: ModeSet, eps: float, coords) -> list[OperatorPoint]:
+    """Local correlation operators at ``coords`` from one eigendecomposition.
+
+    The regularized vacuum is translation invariant: with ``a`` the shift
+    from the first coordinate, every mode picks up the phase
+    ``exp(i (k.a + omega a^0))``, so ``E(p + a) = E(p) D_a`` with ``D_a``
+    the diagonal unitary of these phases and ``F(p + a) = D_a^+ F(p) D_a``.
+    The first point is decomposed by :func:`local_correlation`.  Every other
+    point keeps its own matrix, formed and symmetrized exactly as there, and
+    takes the image basis ``D_a^+ B`` and the first point's eigenvalues and
+    spectral radius, so all points share one rank decision.  Eigenvalues
+    and projectors agree with a point's own ``eigh`` to rounding; the basis
+    inside a degenerate eigenspace may differ.
+    """
+    first = local_correlation(modes, coords[0], eps)
+    basis, eigs = first.image_basis(), first.nonzero_eigenvalues()
+    origin = np.asarray(coords[0], dtype=float)
+    points = [first]
+    for p in coords[1:]:
+        a = np.asarray(p, dtype=float) - origin
+        phase = np.exp(1j * (modes.momenta @ a[1:] + modes.omegas * a[0]))
+        x = OperatorPoint.__new__(OperatorPoint)
+        x._build(
+            _hermitian(_correlation_matrix(modes, p, eps)),
+            np.conj(phase)[:, None] * basis,
+            eigs,
+            first.spectral_radius,
+        )
+        points.append(x)
+    return points
 
 
 def build_system(
@@ -280,13 +316,17 @@ def build_system(
     return _build_system(config, build_modes(config), tolerances)
 
 
-def _build_system(config, modes: ModeSet, tolerances=None) -> CausalFermionSystem:
+def _build_system(config, modes: ModeSet, tolerances=None, ops=None) -> CausalFermionSystem:
+    """The system of ``config``; ``ops`` are its points in sample order,
+    each decomposed by :func:`local_correlation` when not given."""
+    if ops is None:
+        ops = [local_correlation(modes, p, config.eps) for p in config.sample_points]
     weights = config.weights or tuple(1.0 for _ in config.sample_points)
     points = []
     coords = {}
-    for k, (p, w) in enumerate(zip(config.sample_points, weights)):
+    for k, (p, w, op) in enumerate(zip(config.sample_points, weights, ops)):
         pid = f"p{k:04d}"
-        points.append((pid, w, local_correlation(modes, p, config.eps)))
+        points.append((pid, w, op))
         coords[pid] = [float(c) for c in p]
     metadata = {
         "generator": "minkowski",
@@ -475,17 +515,31 @@ def transport_study(
     For every regularization length and every segment count, a system is
     built on the equally spaced path points and both the spin and the frame
     transport deviations from the identity are recorded.  The mode set
-    depends on neither, so it is built once.
+    depends on neither, so it is built once.  Every path starts at the
+    origin, and its points are exact time translates of the origin's
+    (:func:`_translates`), so one eigendecomposition per regularization
+    length serves every segment count.
+
+    :func:`build_system` still decomposes each point on its own.  Translates
+    pick another basis inside the degenerate eigenspaces, and the
+    Clifford-frame splices of spin transport along a general path depend on
+    that basis (``_eta_frame`` pivots on form values that tie to rounding),
+    so switching the builder would move those outputs.
     """
     modes = build_modes(base_config)
+    paths = [
+        tuple((duration * k / n_steps, 0.0, 0.0, 0.0) for k in range(n_steps + 1))
+        for n_steps in refine_list
+    ]
+    if not paths:
+        return []
+    coords = list(dict.fromkeys(p for pts in paths for p in pts))
     rows = []
     for eps in eps_list:
-        for n_steps in refine_list:
-            pts = tuple(
-                (duration * k / n_steps, 0.0, 0.0, 0.0) for k in range(n_steps + 1)
-            )
+        ops = dict(zip(coords, _translates(modes, float(eps), coords)))
+        for n_steps, pts in zip(refine_list, paths):
             cfg = replace(base_config, eps=float(eps), sample_points=pts)
-            system = _build_system(cfg, modes)
+            system = _build_system(cfg, modes, ops=[ops[p] for p in pts])
             dev = _transport_deviations(system, modes, list(system.ids))
             rows.append({"eps": float(eps), "n_steps": int(n_steps), **dev})
     return rows

@@ -14,6 +14,7 @@ taken with respect to the indefinite spin scalar products.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -304,6 +305,12 @@ class CliffordSubspace:
     def dim(self) -> int:
         return len(self.generators)
 
+    @functools.cached_property
+    def _frame(self):
+        """:func:`_eta_frame` of the subspace, built when first spliced; a
+        :class:`SpliceError` is not cached and is raised again on every use."""
+        return _eta_frame(self)
+
 
 def _anticommutator_scalar(u, v):
     """Coefficient c with {u, v} = 2 c * identity, plus the residual matrix."""
@@ -406,7 +413,7 @@ def _eta_frame(subspace: CliffordSubspace):
         signs.append(1.0 if q > 0 else -1.0)
         del remaining[best]
     order = sorted(range(len(frame)), key=lambda i: (-signs[i], i))
-    return [frame[i] for i in order], [signs[i] for i in order]
+    return tuple(frame[i] for i in order), tuple(signs[i] for i in order)
 
 
 def splice_map(
@@ -429,8 +436,8 @@ def splice_map(
         raise SpliceError(
             f"signature mismatch {k_from.signature} vs {k_to.signature}"
         )
-    frame_a, signs_a = _eta_frame(k_from)
-    frame_b, signs_b = _eta_frame(k_to)
+    frame_a, signs_a = k_from._frame
+    frame_b, signs_b = k_to._frame
     if signs_a != signs_b:
         raise SpliceError("frame sign patterns disagree")
 

@@ -626,6 +626,12 @@ class TestCli:
                 ["generate"],
                 1,
             ),
+            ({**_SEA, "kind": "bogus"}, ["converge", "--eps-list", "0.001", "--refine-list", "2"], 1),
+            (
+                {"kind": "mixture", "weights": [1.0], "components": [{**_SEA, "kind": "mixture"}]},
+                ["generate"],
+                1,
+            ),
             (_SEA, ["converge", "--eps-list", "0.001,abc", "--refine-list", "2"], 2),
             (_SEA, ["converge", "--eps-list", "0.001", "--refine-list", "0"], 2),
             *(
@@ -644,6 +650,8 @@ class TestCli:
             "string-mass",
             "fractional-kmax",
             "mixture-kmax-mismatch",
+            "converge-unknown-kind",
+            "mixture-of-mixtures",
             "eps-list-word",
             "refine-list-zero",
             "duration-zero",
@@ -1035,3 +1043,108 @@ class TestReaderFuzz:
             assert code == 3 and err.startswith("numeric failure: ") and err.count("\n") == 1
             with pytest.raises(np.linalg.LinAlgError):
                 validate_system(read_system(path))
+
+
+#: Valid generator configs at cheap sizes (kmax <= 1, at most 4 points).
+_CONFIG_DOCS = {
+    "minkowski": {
+        "kind": "minkowski",
+        "mass": 1.0,
+        "eps": 1e-3,
+        "torus_radius": 0.8,
+        "kmax": 1,
+        "sample_points": [
+            [0.0, 0.0, 0.0, 0.0],
+            [0.2, 0.0, 0.0, 0.0],
+            [0.05, 0.3, 0.0, 0.0],
+            [0.1, 0.0, 0.2, 0.1],
+        ],
+        "weights": [1.0, 0.5, 2.0, 1.0],
+    },
+    "mixture": {
+        "kind": "mixture",
+        "weights": [0.5, 0.5],
+        "components": [
+            {"kmax": 1, "sample_points": [[0.0, 0.0, 0.0, 0.0]]},
+            {"kmax": 1, "sample_points": [[0.3, 0.0, 0.1, 0.0]]},
+        ],
+    },
+}
+_CONFIG_PATHS = {
+    "minkowski": [
+        ("kind",), ("mass",), ("eps",), ("torus_radius",), ("kmax",), ("max_f",),
+        ("weights",), ("weights", 1), ("sample_points",), ("sample_points", 2),
+        ("sample_points", 3, 0), ("sample_points", 1, 3), ("extra",),
+    ],
+    "mixture": [
+        ("kind",), ("weights",), ("weights", 0), ("components",), ("components", 1),
+        ("components", 0, "kmax"), ("components", 1, "mass"),
+        ("components", 1, "sample_points", 0, 1),
+    ],
+}
+# no value here may make kmax exceed 1
+_CONFIG_VALUES = [
+    None, True, 0, 1, -1, 0.5, 1e-300, 1e300, float("nan"), float("inf"), "x", "",
+    "mixture", [], [0.0, 0.0, 0.0, 0.0], [[0.0, 0.0, 0.0, 0.0]], {}, {"kmax": 0},
+]
+_EPS_FLAGS = ["1e-3", "2e-3,4e-3", "0", "-1e-3", "nan", "inf", "1e300", "1e-300", "abc", "", ",", "1e-3,"]
+_REFINE_FLAGS = ["1", "2", "4", "2,4", "0", "-2", "3.5", "x", "", "4,"]
+_DURATION_FLAGS = [None, "0.6", "0.2", "1e-300", "5e-324", "1e300", "0", "-1", "nan", "inf", "abc"]
+
+
+@st.composite
+def mutated_commands(draw) -> tuple:
+    """A ``generate`` or ``converge`` command, as config text and the flags
+    after ``--config``, with its config document mutated once or not at all
+    and, for ``converge``, flag values drawn from valid and invalid ones."""
+    command = draw(st.sampled_from(["generate", "converge"]))
+    name = "minkowski" if command == "converge" else draw(st.sampled_from(sorted(_CONFIG_DOCS)))
+    doc = copy.deepcopy(_CONFIG_DOCS[name])
+    kind = draw(st.sampled_from(["none", "drop", "retype", "document", "truncate"]))
+    if kind in ("drop", "retype"):
+        parent, key = _at(doc, draw(st.sampled_from(_CONFIG_PATHS[name])))
+        if kind == "retype":
+            parent[key] = draw(st.sampled_from(_CONFIG_VALUES))
+        elif isinstance(parent, list) or key in parent:
+            del parent[key]
+    elif kind == "document":
+        doc = draw(st.sampled_from(_CONFIG_VALUES))
+    text = json.dumps(doc)
+    if kind == "truncate":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    flags = []
+    if command == "converge":
+        flags = [
+            "--eps-list", draw(st.sampled_from(_EPS_FLAGS)),
+            "--refine-list", draw(st.sampled_from(_REFINE_FLAGS)),
+        ]
+        duration = draw(st.sampled_from(_DURATION_FLAGS))
+        if duration is not None:
+            flags.append(f"--duration={duration}")
+    return command, text, flags
+
+
+class TestCommandFuzz:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(case=mutated_commands())
+    def test_mutated_command_fails_cleanly(self, case, tmp_path_factory):
+        command, text, flags = case
+        tmp = tmp_path_factory.getbasetemp()
+        cfg_path = tmp / "fuzz-config.json"
+        cfg_path.write_text(text, encoding="utf-8")
+        out_path = tmp / ("fuzz-system.json" if command == "generate" else "fuzz-out")
+        argv = [command, "--config", str(cfg_path), *flags, "--out", str(out_path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in out + err
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            # a config warning ("eps * mass is not small") may follow success
+            assert out.startswith("wrote ")
+        else:
+            assert out == "" and err.count("\n") == 1

@@ -1,9 +1,12 @@
 """Dirac-sea systems on the torus: modes, correlation operators, mixtures."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cfslab import minkowski as mk
+from cfslab.cli import validate_system
 from cfslab.core import CausalFermionSystem
 from cfslab.errors import DimensionMismatchError, ValidationError
 
@@ -242,6 +245,30 @@ class TestDiracFrame:
         assert mk.dirac_frame(stated, modes, "p0000").signature == (1, 3)
 
 
+class TestTranslates:
+    def test_match_local_correlation(self):
+        # time translates along the axis and general shifts off it
+        cfg = mk.MinkowskiConfig(kmax=1, torus_radius=0.8, sample_points=((0, 0, 0, 0),))
+        modes = mk.build_modes(cfg)
+        coords = [
+            (0.05, 0.1, 0.0, -0.1),
+            (0.25, 0.1, 0.0, -0.1),
+            (0.3, 0.4, -0.2, 0.05),
+            (-0.4, -0.3, 0.5, 0.2),
+            (0.05, 0.1, 0.0, -0.1),
+        ]
+        translates = mk._translates(modes, 2e-3, coords)
+        for p, x in zip(coords, translates):
+            y = mk.local_correlation(modes, p, 2e-3)
+            assert np.array_equal(x.matrix, y.matrix)
+            assert (x.rank, x.pos_eigs) == (y.rank, y.pos_eigs)
+            assert np.allclose(x.nonzero_eigenvalues(), y.nonzero_eigenvalues(), rtol=0, atol=1e-12)
+            bx, by = x.image_basis(), y.image_basis()
+            assert np.abs(bx @ bx.conj().T - by @ by.conj().T).max() <= 1e-12
+        system = CausalFermionSystem(2, [(f"p{k}", 1.0, x) for k, x in enumerate(translates)])
+        assert validate_system(system) == []
+
+
 class TestTransportStudy:
     def test_one_frame_per_point_and_partner(self, monkeypatch):
         # a 4-segment row needs the coordinate frame at each of its 5 points
@@ -271,3 +298,26 @@ class TestTransportStudy:
         )
         rows = mk.transport_study(cfg, [4e-3, 2e-3], [2])
         assert len(rows) == 2 and len(built) == 1
+        assert mk.transport_study(cfg, [4e-3], []) == []
+
+    def test_one_eigendecomposition_per_eps(self, eigh_shapes):
+        cfg = mk.MinkowskiConfig(
+            kmax=1, torus_radius=0.8, sample_points=((0.0, 0.0, 0.0, 0.0),)
+        )
+        mk.transport_study(cfg, [4e-3, 2e-3], [2, 4])
+        assert eigh_shapes.count((cfg.f, cfg.f)) == 2
+
+    def test_rows_match_per_point_systems(self):
+        # oracle: every point decomposed on its own, as build_system does
+        cfg = mk.MinkowskiConfig(
+            kmax=1, torus_radius=0.8, sample_points=((0.0, 0.0, 0.0, 0.0),)
+        )
+        modes = mk.build_modes(cfg)
+        rows = mk.transport_study(cfg, [4e-3, 2e-3], [2, 4], duration=0.6)
+        for row in rows:
+            n = row["n_steps"]
+            pts = tuple((0.6 * k / n, 0.0, 0.0, 0.0) for k in range(n + 1))
+            system = mk._build_system(replace(cfg, eps=row["eps"], sample_points=pts), modes)
+            want = mk._transport_deviations(system, modes, list(system.ids))
+            for key, value in want.items():
+                assert row[key] == pytest.approx(value, rel=1e-9, abs=0.0)

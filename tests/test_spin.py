@@ -8,6 +8,7 @@ import scipy.linalg
 
 import cfslab as cl
 from cfslab import minkowski as mk
+from cfslab import spin
 from cfslab.core import CausalClass, CausalFermionSystem, OperatorPoint, classify
 from cfslab.errors import NotSpinConnectableError, SpliceError, ValidationError
 from cfslab.spin import CliffordSubspace, grassmann_residual, spin_adjoint
@@ -642,3 +643,14 @@ class TestComposeTransport:
         g0 = system.spin_space("p0000").gram_diag
         g2 = system.spin_space("p0002").gram_diag
         assert np.linalg.norm(spin_adjoint(total, g0, g2) @ total - np.eye(4)) < 1e-9
+
+    def test_builds_each_frame_once(self, small_minkowski, monkeypatch):
+        # the path revisits p0001 and turns back at p0002, so its three
+        # splices use the subspaces of (p1, p0), (p1, p2) and (p2, p1) twice each
+        _, system, modes = small_minkowski
+        built = []
+        eta_frame = spin._eta_frame
+        monkeypatch.setattr(spin, "_eta_frame", lambda k: built.append(k) or eta_frame(k))
+        provider = mk.clifford_provider(system, modes)
+        cl.compose_transport(system, ["p0000", "p0001", "p0002", "p0001", "p0000"], provider)
+        assert len(built) == len({id(k) for k in built}) == 3
