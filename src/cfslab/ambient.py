@@ -28,17 +28,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TangentVector:
-    """A tangent direction at a base point of the fixed-rank stratum."""
+    """A tangent direction at a base point of the fixed-rank stratum; its
+    matrix is checked and symmetrized as a point's matrix is."""
 
     base: OperatorPoint
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = self.matrix
-        if np.linalg.norm(m - m.conj().T) > 1e-12 * max(np.linalg.norm(m), 1e-300):
-            raise ValidationError("tangent matrix is not self-adjoint")
+        m = _hermitian(self.matrix)
         if m.shape != self.base.matrix.shape:
             raise DimensionMismatchError("tangent matrix has the wrong shape")
+        object.__setattr__(self, "matrix", m)
 
     @property
     def norm(self) -> float:
@@ -70,16 +70,16 @@ def project_tangent(x: OperatorPoint, w) -> TangentVector:
     ``pi`` the projection onto the image of ``x``; projecting twice changes
     nothing.
     """
-    w = np.asarray(w, dtype=np.complex128)
-    if np.linalg.norm(w - w.conj().T) > 1e-12 * max(np.linalg.norm(w), 1e-300):
-        raise ValidationError("w must be self-adjoint")
+    w = _hermitian(w)
+    if w.shape != x.matrix.shape:
+        raise DimensionMismatchError("w has the wrong shape")
     if x.rank == 0:
         raise ValidationError("the base point is singular")
     b = x.image_basis()
     pw = b @ (b.conj().T @ w)
     proj = pw + pw.conj().T - b @ ((b.conj().T @ w @ b) @ b.conj().T)
-    proj = 0.5 * (proj + proj.conj().T)
-    return TangentVector(x, proj)
+    # symmetrized first: what is left of a w in the kernel block is rounding
+    return TangentVector(x, 0.5 * (proj + proj.conj().T))
 
 
 def retract(

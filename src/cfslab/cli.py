@@ -81,15 +81,7 @@ def _tuples(value):
 def _minkowski_config(doc: dict) -> minkowski.MinkowskiConfig:
     if not isinstance(doc, dict):
         raise ValidationError("a Minkowski config must be a JSON object")
-    known = {
-        "mass",
-        "eps",
-        "torus_radius",
-        "kmax",
-        "sample_points",
-        "weights",
-        "max_f",
-    }
+    known = {field.name for field in dataclasses.fields(minkowski.MinkowskiConfig)}
     extra = set(doc) - known - {"kind"}
     if extra:
         raise ValidationError(f"unknown config fields: {sorted(extra)}")
@@ -239,10 +231,8 @@ def validate_system(system: CausalFermionSystem) -> list[str]:
 
     Each point's image basis and nonzero eigenvalues must reproduce its
     matrix within ``cut * sqrt(f) + 1e-12 * ||A||_F``: every eigenvalue they
-    leave out is at most the cut.  Each ordered pair is computed on its own:
-    the pair kernel runs once on the system and once on its points in
-    reverse order, so for i < j the reversed run evaluates (x_j, x_i) where
-    the first evaluates (x_i, x_j).
+    leave out is at most the cut.  Each ordered pair is computed on its own,
+    from its own overlap, in one pass over the pair matrix.
     """
     failures = []
     for e in system.points:
@@ -254,16 +244,13 @@ def validate_system(system: CausalFermionSystem) -> list[str]:
             failures.append(
                 f"point {e.id}: image basis and eigenvalues miss the matrix ({defect:.3e})"
             )
-    engine = PairEngine(system)
-    fwd = engine.analyze()
-    points = [(e.id, e.weight, e.op) for e in reversed(system.points)]
-    back = PairEngine(CausalFermionSystem(system.n, points, system.tolerances)).analyze()
-    c_sum = fwd.cvals - back.cvals[::-1, ::-1]  # C(x_i, x_j) + C(x_j, x_i)
-    antisym = np.abs(c_sum) > 1e-12 * np.maximum(1.0, np.abs(fwd.cvals))
-    asym = fwd.codes != back.codes[::-1, ::-1]
-    adjoint = engine.kernel_adjointness() > 1e-12
+    cvals, codes, adjointness = PairEngine(system).both_orders()
+    c_sum = cvals + cvals.T  # C(x_i, x_j) + C(x_j, x_i)
+    antisym = np.abs(c_sum) > 1e-12 * np.maximum(1.0, np.abs(cvals))
+    asym = codes != codes.T
+    adjoint = adjointness > 1e-12
     ids = system.ids
-    for i, j in zip(*np.nonzero(np.triu(antisym | asym, 1) | adjoint)):
+    for i, j in zip(*np.nonzero(np.triu(antisym | asym | adjoint, 1))):
         pair = f"pair ({ids[i]},{ids[j]})"
         if antisym[i, j]:
             failures.append(f"{pair}: antisymmetry defect {c_sum[i, j]:.3e}")

@@ -344,14 +344,14 @@ def modes_for_system(system: CausalFermionSystem) -> ModeSet:
     md = system.metadata
     if md.get("generator") != "minkowski":
         raise ValidationError("system was not generated from a Minkowski config")
-    cfg = MinkowskiConfig(
-        mass=md["mass"],
-        eps=md["eps"],
-        torus_radius=md["torus_radius"],
-        kmax=md["kmax"],
-        sample_points=((0.0, 0.0, 0.0, 0.0),),
-    )
-    return build_modes(cfg)
+    try:
+        fields = {k: md[k] for k in ("mass", "eps", "torus_radius", "kmax")}
+    except KeyError as exc:
+        raise ValidationError(f"system metadata lacks the generator field {exc}") from None
+    modes = build_modes(MinkowskiConfig(**fields, sample_points=((0.0, 0.0, 0.0, 0.0),)))
+    if len(modes) != system.f:
+        raise ValidationError(f"metadata's kmax gives f={len(modes)}, the points f={system.f}")
+    return modes
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +404,18 @@ def _isometry(system: CausalFermionSystem, modes: ModeSet, pid: str):
 
 def _coordinates(system: CausalFermionSystem) -> dict:
     """Sample coordinates of a system whose points :func:`evaluation_matrix`
-    reproduces; metadata naming another damping kernel is refused."""
+    reproduces, as four finite floats per point id; metadata naming another
+    damping kernel is refused."""
     md = system.metadata
-    if md.get("coordinates") is None:
-        raise ValidationError("system metadata carries no sample coordinates")
     if md.get("damping", "exponential") != "exponential":
         raise ValidationError(f"unsupported damping kernel {md['damping']!r}")
-    return md["coordinates"]
+    try:
+        table = np.array([md["coordinates"][pid] for pid in system.ids], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        table = np.zeros(0)
+    if table.shape != (len(system), 4) or not np.isfinite(table).all():
+        raise ValidationError("system metadata needs four finite coordinates for every point")
+    return dict(zip(system.ids, table))
 
 
 def dirac_frame(
@@ -429,8 +434,8 @@ def dirac_frame(
     iota, iota_inv = _isometry(system, modes, x_id)
     xi = None
     if y_id is not None and y_id != x_id:
-        coords = system.metadata["coordinates"]
-        xi = np.asarray(coords[y_id], dtype=float) - np.asarray(coords[x_id], dtype=float)
+        coords = _coordinates(system)
+        xi = coords[y_id] - coords[x_id]
     gens = tuple(
         iota_inv @ gamma_contract(e) @ iota for e in _minkowski_frame(xi)
     )

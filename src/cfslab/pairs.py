@@ -101,22 +101,25 @@ class PairEngine:
         lams, tol = self._lams, self.system.tolerances
         return _pair_block(g, lams[i0:i1], lams[j0:j1], tol)[1:]
 
-    def _adjointness_block(self, i0, i1, j0, j1):
-        """Relative defect of the kernel adjointness P(x, y)* = P(y, x) on a block.
+    def _both_orders_block(self, i0, i1, j0, j1):
+        """Time directions and class codes of a block's pairs (x, y) and,
+        transposed, (y, x), each order from its own overlap; and the relative
+        defect of the kernel adjointness P(x, y)* = P(y, x).
 
         With P(x, y) = G_xy diag(l_y) and the spin Gram matrix diag(-l), the
         relation diag(-l_y) P(y, x) = P(x, y)^+ diag(-l_x) has the defect
         diag(l_y) (G_yx - G_xy^+) diag(l_x): multiplied through rather than
-        divided by the Gram matrix, whose padded slots are zero.  Each order's
-        overlap comes from its own GEMM.
+        divided by the Gram matrix, whose padded slots are zero.
         """
-        lams, srad = self._lams, self._srad
+        lx, ly, tol = self._lams[i0:i1], self._lams[j0:j1], self.system.tolerances
         g_xy = _overlaps(self._bases, i0, i1, j0, j1)
-        g_yx = _overlaps(self._bases, j0, j1, i0, i1).swapaxes(0, 1)
-        e = g_yx - g_xy.conj().swapaxes(-1, -2)
-        e *= lams[None, j0:j1, :, None] * lams[i0:i1, None, None, :]
-        scale = np.maximum(1.0, srad[i0:i1, None] * srad[None, j0:j1])
-        return (np.linalg.norm(e, axis=(-2, -1)) / scale,)
+        g_yx = _overlaps(self._bases, j0, j1, i0, i1)
+        _, codes_xy, _, c_xy, _ = _pair_block(g_xy, lx, ly, tol)
+        _, codes_yx, _, c_yx, _ = _pair_block(g_yx, ly, lx, tol)
+        e = g_yx.swapaxes(0, 1) - g_xy.conj().swapaxes(-1, -2)
+        e *= ly[None, :, :, None] * lx[:, None, None, :]
+        scale = np.maximum(1.0, self._srad[i0:i1, None] * self._srad[None, j0:j1])
+        return c_xy, c_yx.T, codes_xy, codes_yx.T, np.linalg.norm(e, axis=(-2, -1)) / scale
 
     def _map_blocks(self, block, dtypes):
         """Arrays of ``block``'s outputs, filled tile by tile on and above
@@ -150,11 +153,15 @@ class PairEngine:
             tolerances=self.system.tolerances,
         )
 
-    def kernel_adjointness(self) -> np.ndarray:
-        """Relative defect of the adjointness P(x, y)* = P(y, x) of the kernels.
-
-        Entry (i, j) for i < j holds the Frobenius norm of the defect for
-        (x_i, x_j) over max(1, |x_i| |x_j|); the rest of the matrix is zero.
+    def both_orders(self):
+        """Time directions and class codes ``(N, N)`` with entry (i, j), for
+        i != j, computed on (x_i, x_j) itself rather than mirrored; and the
+        relative defect of P(x_i, x_j)* = P(x_j, x_i), the Frobenius norm over
+        max(1, |x_i| |x_j|), at i < j and zero elsewhere.
         """
-        (rel,) = self._map_blocks(self._adjointness_block, (np.float64,))
-        return np.triu(rel, 1)
+        c_xy, c_yx, codes_xy, codes_yx, adjoint = self._map_blocks(
+            self._both_orders_block, (np.float64, np.float64, np.uint8, np.uint8, np.float64)
+        )
+        lower = np.tri(len(self.system), k=-1, dtype=bool)
+        cvals, codes = np.where(lower, c_yx.T, c_xy), np.where(lower, codes_yx.T, codes_xy)
+        return cvals, codes, np.triu(adjoint, 1)

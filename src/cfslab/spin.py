@@ -224,7 +224,7 @@ def _split_chain(system: CausalFermionSystem, x_id: str, y_id: str):
     if not _positive_spectrum(chain.eigenvalues, system.tolerances):
         raise NotSpinConnectableError(
             f"closed chain of ({x_id}, {y_id}) has non-positive spectrum: "
-            f"{chain.eigenvalues}"
+            f"{np.array2string(chain.eigenvalues, max_line_width=np.inf)}"
         )
     dims = {1: 0, -1: 0}
     for c in chain.clusters:

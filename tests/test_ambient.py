@@ -1,5 +1,7 @@
 """Hilbert-Schmidt distance, trace metric, tangent projection, retraction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,21 @@ class TestProjection:
         x = random_regular_point(6, 1, np.random.default_rng(68))
         with pytest.raises(ValidationError):
             project_tangent(x, np.triu(np.ones((6, 6)), k=1))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.full((6, 6), np.nan), np.diag([np.inf, 1, 1, 1, 1, 1]), np.ones((6, 5)), np.eye(4)],
+        ids=["nan", "inf", "non-square", "wrong-size"],
+    )
+    def test_rejects_what_a_point_would(self, bad):
+        # the self-adjointness rule of a point's matrix, without numpy warnings
+        x = random_regular_point(6, 1, np.random.default_rng(68))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                project_tangent(x, bad)
+            with pytest.raises(ValidationError):
+                TangentVector(x, bad)
 
 
 class TestRetract:

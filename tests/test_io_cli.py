@@ -895,36 +895,57 @@ class TestCli:
             assert "UserWarning: eps * mass" in proc.stderr
 
     @pytest.mark.parametrize("first, second", [(2, 35), (35, 2)])
-    # PairEngine._compute_block returns (codes, orient, cvals, specrad)
+    # fields of (codes, orient, cvals, specrad), which pairs._pair_block
+    # returns after the product spectra
     @pytest.mark.parametrize(
         "field, message", [(2, "antisymmetry defect"), (0, "classification asymmetry")]
     )
     def test_validate_computes_both_orders(self, monkeypatch, first, second, field, message):
-        # Corrupt the kernel's result for the one ordered pair (x, y); the
-        # pair is computed directly in one of the two runs and mirrored in
-        # the other, so only a check of both orders sees the corruption.
+        # Corrupt the kernel's result for the one ordered pair (x, y); each
+        # order is computed on its own, so only a check of both orders sees
+        # the corruption.
         rng = np.random.default_rng(86)
         system = random_regular_system(40, 6, 2, rng)
         x, y = system.points[first].op, system.points[second].op
         lx, ly = x.nonzero_eigenvalues(), y.nonzero_eigenvalues()
-        compute = pairs.PairEngine._compute_block
+        pair_block = pairs._pair_block
 
-        def corrupted(engine, i0, i1, j0, j1):
-            out = compute(engine, i0, i1, j0, j1)
-            lams = engine._lams
-            for a in range(i0, i1):
-                for b in range(j0, j1):
-                    if np.array_equal(lams[a], lx) and np.array_equal(lams[b], ly):
+        def corrupted(g, rows, cols, tol):
+            out = pair_block(g, rows, cols, tol)
+            for a in range(len(rows)):
+                for b in range(len(cols)):
+                    if np.array_equal(rows[a], lx) and np.array_equal(cols[b], ly):
                         # the next class for codes, a change of 1 or 2 for cvals
-                        block = out[field]
-                        block[a - i0, b - j0] = (block[a - i0, b - j0] + 1) % 3
+                        block = out[field + 1]
+                        block[a, b] = (block[a, b] + 1) % 3
             return out
 
-        monkeypatch.setattr(pairs.PairEngine, "_compute_block", corrupted)
+        monkeypatch.setattr(pairs, "_pair_block", corrupted)
         failures = validate_system(system)
         ids = sorted([system.ids[first], system.ids[second]])
         assert len(failures) == 1
         assert failures[0].startswith(f"pair ({ids[0]},{ids[1]}): {message}")
+
+    def test_validate_takes_two_overlaps_per_tile(self, monkeypatch):
+        # one engine, and per upper tile of the pair matrix one overlap for
+        # each order of its pairs
+        system = random_regular_system(40, 6, 2, np.random.default_rng(88))
+        overlaps, init = pairs._overlaps, pairs.PairEngine.__init__
+        calls, engines = [], []
+
+        def counted_overlaps(*args):
+            calls.append(args[1:])
+            return overlaps(*args)
+
+        def counted_init(engine, *args, **kwargs):
+            engines.append(engine)
+            init(engine, *args, **kwargs)
+
+        monkeypatch.setattr(pairs, "_overlaps", counted_overlaps)
+        monkeypatch.setattr(pairs.PairEngine, "__init__", counted_init)
+        assert validate_system(system) == []
+        assert len(engines) == 1
+        assert len(calls) <= 2 * len(list(pairs._block_pairs(len(system))))
 
 
 class TestIoCrossCheck:
@@ -1124,6 +1145,102 @@ def mutated_commands(draw) -> tuple:
     return command, text, flags
 
 
+def _transport_documents() -> dict:
+    """Valid system files for ``connect`` and ``holonomy``: four points of a
+    kmax=1 Dirac sea, which gets Clifford-frame splices, and three random
+    points, which get none."""
+    cfg = minkowski.MinkowskiConfig(
+        kmax=1,
+        torus_radius=0.8,
+        sample_points=((0, 0, 0, 0), (0.1, 0, 0, 0), (0.2, 0.02, 0, 0), (0.3, 0, 0.03, 0)),
+    )
+    sea = minkowski.build_system(cfg)
+    points = random_regular_system(3, 6, 2, np.random.default_rng(90))
+    return {"sea": json.loads(system_to_json(sea)), "random": json.loads(system_to_json(points))}
+
+
+_TRANSPORT_DOCS = _transport_documents()
+_TRANSPORT_PATHS = [
+    ("n",), ("tolerances", "imag_rel"), ("tolerances", "zero_abs"), ("points", 1, "id"),
+    ("points", 2, "weight"), ("metadata",), ("metadata", "generator"), ("metadata", "eps"),
+    ("metadata", "mass"), ("metadata", "kmax"), ("metadata", "torus_radius"),
+    ("metadata", "coordinates"), ("metadata", "coordinates", "p0001"),
+    ("metadata", "coordinates", "p0002", 1), ("metadata", "damping"),
+]
+_TRANSPORT_VALUES = _VALUES + [
+    "minkowski", 1e300, 1e-300, [0.0, 0.0, 0.0, 0.0], {"p0000": [0.0, 0.0, 0.0, 0.0]},
+]
+_PATH_FLAGS = [
+    "p0000,p0001", "p0000,p0001,p0002,p0003", "p0003,p0001,p0003", "p0000,p0000", "p0000",
+    "p0000,p0001,p0000", "p0000,,p0001", "p9999,p0000", ",", "",
+]
+_TRIANGLE_FLAGS = [
+    "p0000,p0001,p0002", "p0001,p0002,p0000", "p0000,p0000,p0001", "p0000,p0001",
+    "p0000,p0001,p0002,p0001", "p0000,p0001,x", ",,", "",
+]
+_CONNECT = ["connect", "--path", "p0000,p0001"]
+_HOLONOMY = ["holonomy", "--triangle", "p0000,p0001,p0002"]
+_TOL_FLAGS = [None, "1e-9", "1e-4", "1e-3", "0", "-1", "nan", "inf", "1e300", "1e-300", "abc"]
+
+
+@st.composite
+def mutated_transport_commands(draw) -> tuple:
+    """A ``connect`` or ``holonomy`` command, as system file text and its
+    flags, with the system document mutated once or not at all, the other
+    document's metadata grafted on, and path and tolerance flags drawn from
+    valid and invalid values."""
+    command = draw(st.sampled_from(["connect", "holonomy"]))
+    name = draw(st.sampled_from(sorted(_TRANSPORT_DOCS)))
+    doc = copy.deepcopy(_TRANSPORT_DOCS[name])
+    kind = draw(st.sampled_from(["none", "drop", "retype", "graft", "truncate"]))
+    if kind in ("drop", "retype"):
+        try:
+            parent, key = _at(doc, draw(st.sampled_from(_TRANSPORT_PATHS)))
+        except KeyError:
+            # the random file's metadata has no coordinates: mutate it whole
+            parent, key = doc, "metadata"
+        if kind == "retype":
+            parent[key] = draw(st.sampled_from(_TRANSPORT_VALUES))
+        elif isinstance(parent, list) or key in parent:
+            del parent[key]
+    elif kind == "graft":
+        other = "random" if name == "sea" else "sea"
+        doc["metadata"] = copy.deepcopy(_TRANSPORT_DOCS[other]["metadata"])
+    text = json.dumps(doc)
+    if kind == "truncate":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    if command == "connect":
+        flags = ["--path", draw(st.sampled_from(_PATH_FLAGS))]
+    else:
+        flags = ["--triangle", draw(st.sampled_from(_TRIANGLE_FLAGS))]
+    for flag in ("--eig-rel", "--imag-rel", "--zero-abs"):
+        value = draw(st.sampled_from(_TOL_FLAGS))
+        if value is not None:
+            flags.append(f"{flag}={value}")
+    return command, text, flags
+
+
+def _run_cleanly(argv) -> int:
+    """Exit code of ``main(argv)`` after checking the exit-code contract: no
+    traceback, ``wrote`` on success, one stderr line and nothing else on
+    failure."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        # a config warning ("eps * mass is not small") may follow success
+        assert out.startswith("wrote ")
+    else:
+        assert out == "" and err.count("\n") == 1
+    return code
+
+
 class TestCommandFuzz:
     @settings(max_examples=300, deadline=None, database=None)
     @given(case=mutated_commands())
@@ -1133,18 +1250,44 @@ class TestCommandFuzz:
         cfg_path = tmp / "fuzz-config.json"
         cfg_path.write_text(text, encoding="utf-8")
         out_path = tmp / ("fuzz-system.json" if command == "generate" else "fuzz-out")
-        argv = [command, "--config", str(cfg_path), *flags, "--out", str(out_path)]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-        out, err = out.getvalue(), err.getvalue()
-        assert "Traceback" not in out + err
-        assert code in (0, 1, 2, 3)
-        if code == 0:
-            # a config warning ("eps * mass is not small") may follow success
-            assert out.startswith("wrote ")
-        else:
-            assert out == "" and err.count("\n") == 1
+        _run_cleanly([command, "--config", str(cfg_path), *flags, "--out", str(out_path)])
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(case=mutated_transport_commands())
+    def test_mutated_transport_command_fails_cleanly(self, case, tmp_path_factory):
+        command, text, flags = case
+        tmp = tmp_path_factory.getbasetemp()
+        path = tmp / "fuzz-transport.json"
+        path.write_text(text, encoding="utf-8")
+        _run_cleanly([command, "--system", str(path), *flags, "--out", str(tmp / "fuzz-out")])
+
+    @pytest.mark.parametrize(
+        "name, path, value, argv, code",
+        [
+            ("random", None, None, _CONNECT, 3),
+            ("sea", ("metadata", "eps"), None, _CONNECT, 1),
+            ("sea", ("metadata", "kmax"), 0, _CONNECT, 1),
+            ("sea", ("metadata", "coordinates"), [0.0, 0.0, 0.0, 0.0], _CONNECT, 1),
+            ("sea", ("metadata", "coordinates", "p0001"), None, _HOLONOMY, 1),
+            ("sea", ("metadata", "coordinates", "p0002", 1), "x", _HOLONOMY, 1),
+            ("sea", ("metadata", "coordinates", "p0001", 1), None, _CONNECT, 1),
+        ],
+        ids=[
+            "non-positive-chain-spectrum", "metadata-without-eps", "metadata-kmax-off-f",
+            "coordinates-list", "coordinates-without-point", "coordinate-word", "three-coordinates",
+        ],
+    )
+    def test_transport_breach_fails_in_one_line(self, name, path, value, argv, code, tmp_path):
+        # a multi-line spectrum in the message, or generator metadata that
+        # reached a KeyError, TypeError or ValueError
+        doc = copy.deepcopy(_TRANSPORT_DOCS[name])
+        if path is not None:
+            parent, key = _at(doc, path)
+            if value is None:
+                del parent[key]
+            else:
+                parent[key] = value
+        sys_path = tmp_path / "system.json"
+        sys_path.write_text(json.dumps(doc))
+        argv = [argv[0], "--system", str(sys_path), *argv[1:], "--out", str(tmp_path)]
+        assert _run_cleanly(argv) == code
