@@ -42,14 +42,20 @@ class TangentVector:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
+        return _norm(self.matrix)
+
+
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm of ``a`` scaled as in ``core._hermitian``, so no square overflows."""
+    s = float(np.abs(a).max(initial=0.0))
+    return s * float(np.linalg.norm(a / (s or 1.0)))
 
 
 def hs_distance(x: OperatorPoint, y: OperatorPoint) -> float:
     """Hilbert-Schmidt distance ``sqrt(tr((x - y)^2))``."""
     if x.f != y.f:
         raise DimensionMismatchError(f"points live on f={x.f} and f={y.f}")
-    return float(np.linalg.norm(x.matrix - y.matrix))
+    return _norm(x.matrix - y.matrix)
 
 
 def metric_h(x: OperatorPoint, u: TangentVector, v: TangentVector) -> float:

@@ -5,8 +5,8 @@ bounded number of positive and negative eigenvalues.  A finite system is a
 weighted list of such points together with a spin dimension.  One pair
 routine classifies pairs of points as spacelike / timelike / lightlike from
 the spectrum of their product, taken on the side of lower rank, and orients
-timelike pairs in time via the commutator-trace functional; the per-pair
-functions here run it on one pair, :class:`cfslab.pairs.PairEngine` on blocks.
+timelike pairs in time via the commutator-trace functional, over a list of
+pairs: the per-pair functions pass one, :class:`cfslab.pairs.PairEngine` a tile's.
 """
 
 from __future__ import annotations
@@ -479,33 +479,31 @@ def _class_codes(w, tol: Tolerances):
 
 
 def _pair_block(g, lx, ly, tol: Tolerances):
-    """Pair quantities of a block of (row x, column y) points, from the
-    ``(ni, nj, r, r)`` overlaps ``g`` of the padded image bases and the
-    ``(ni, r)`` and ``(nj, r)`` padded eigenvalues ``lx`` and ``ly``.
+    """Pair quantities of a list of pairs (x, y), each independent of the
+    list, from the ``(p, r, r)`` overlaps ``g`` of their padded image bases
+    and the ``(p, r)`` padded eigenvalues ``lx`` and ``ly``.
 
-    Returns the ``(ni, nj, r)`` product spectra, then ``(ni, nj)`` class
-    codes, orientation signs, time directions and spectral radii.
+    Returns the ``(p, r)`` product spectra, then ``(p,)`` class codes,
+    orientation signs, time directions and spectral radii.
     """
     gh = g.conj().swapaxes(-1, -2)
     # The product on the side of lower rank: diag(lx) G diag(ly) G^+, or
     # diag(ly) G^+ diag(lx) G where rank(x) > rank(y).  Both have the nonzero
     # spectrum of xy; the padded slots of the lower-rank side are zero rows,
     # so every eigenvalue beyond its rank is an exact zero.
-    m = (lx[:, None, :, None] * g * ly[None, :, None, :]) @ gh
-    i, j = np.nonzero(np.count_nonzero(lx, axis=1)[:, None] > np.count_nonzero(ly, axis=1))
-    m[i, j] = (ly[j, :, None] * gh[i, j] * lx[i, None, :]) @ g[i, j]
+    m = (lx[:, :, None] * g * ly[:, None, :]) @ gh
+    k = np.count_nonzero(lx, axis=1) > np.count_nonzero(ly, axis=1)
+    m[k] = (ly[k, :, None] * gh[k] * lx[k, None, :]) @ g[k]
     w = np.linalg.eigvals(m)
     codes, specrad = _class_codes(w, tol)
     # Time direction: tr(y x pi_y pi_x) = tr(G Ly G+ Lx G G+), and the
     # second trace is its conjugate, so C = -2 Im of the first.
-    a1 = (g * ly[None, :, None, :]) @ gh
-    a2 = lx[:, None, :, None] * (g @ gh)
+    a1 = (g * ly[:, None, :]) @ gh
+    a2 = lx[:, :, None] * (g @ gh)
     cvals = -2.0 * np.einsum("...ab,...ba->...", a1, a2).imag
     sx, sy = (np.abs(lam).max(axis=1, initial=0.0) for lam in (lx, ly))
-    thr = tol.imag_rel * sx[:, None] * sy
-    orient = np.zeros(cvals.shape, dtype=np.int8)
-    orient[cvals > thr] = 1
-    orient[cvals < -thr] = -1
+    thr = tol.imag_rel * sx * sy
+    orient = (cvals > thr).astype(np.int8) - (cvals < -thr)
     return w, codes, orient, cvals, specrad
 
 
@@ -518,10 +516,10 @@ def _pair(x: OperatorPoint, y: OperatorPoint, n: int | None = None, tol=None):
     if n is None:
         n = max(x.pos_eigs, x.neg_eigs, y.pos_eigs, y.neg_eigs, 1)
     bases, lams = _padded_factors((x, y), n)
-    out = _pair_block(_overlaps(bases, 0, 1, 1, 2), lams[:1], lams[1:], tol or DEFAULT_TOL)
+    out = _pair_block(_overlaps(bases, 0, 1, 1, 2)[0], lams[:1], lams[1:], tol or DEFAULT_TOL)
     if x is y or np.array_equal(x.matrix, y.matrix):
         out[2][:] = out[3][:] = 0
-    return [part[0, 0] for part in out]
+    return [part[0] for part in out]
 
 
 def product_spectrum(x: OperatorPoint, y: OperatorPoint, n: int) -> np.ndarray:
@@ -530,7 +528,7 @@ def product_spectrum(x: OperatorPoint, y: OperatorPoint, n: int) -> np.ndarray:
     The product is built from the two points' factors, zero-padded to the
     ``2 n`` slots, on the side of lower rank: with the overlap ``G = Bx^+ By``
     of their image bases it is ``diag(lx) G diag(ly) G^+``, or ``diag(ly) G^+
-    diag(lx) G`` when ``rank(x) > rank(y)``, as in every block of
+    diag(lx) G`` when ``rank(x) > rank(y)``, as for every pair of
     :class:`cfslab.pairs.PairEngine`.  So only a dense non-Hermitian
     eigenproblem of size ``2 n`` is solved, the full ``f x f`` product is
     never formed, and eigenvalues below the cut do not enter.

@@ -44,6 +44,15 @@ class TestDistance:
             assert hs_distance(a, b) == pytest.approx(hs_distance(b, a))
             assert hs_distance(a, c) <= hs_distance(a, b) + hs_distance(b, c) + 1e-12
 
+    def test_huge_entries(self):
+        # squared entries above about 1e154 overflow an unscaled norm
+        x = OperatorPoint(np.diag([1e200, -1e200, 0.0]))
+        y = OperatorPoint(np.diag([-1e200, 1e200, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hs_distance(x, y) == pytest.approx(np.sqrt(8.0) * 1e200)
+            assert TangentVector(x, 1e200 * np.eye(3)).norm == pytest.approx(np.sqrt(3.0) * 1e200)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             hs_distance(

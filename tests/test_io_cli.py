@@ -910,14 +910,13 @@ class TestCli:
         lx, ly = x.nonzero_eigenvalues(), y.nonzero_eigenvalues()
         pair_block = pairs._pair_block
 
-        def corrupted(g, rows, cols, tol):
-            out = pair_block(g, rows, cols, tol)
-            for a in range(len(rows)):
-                for b in range(len(cols)):
-                    if np.array_equal(rows[a], lx) and np.array_equal(cols[b], ly):
-                        # the next class for codes, a change of 1 or 2 for cvals
-                        block = out[field + 1]
-                        block[a, b] = (block[a, b] + 1) % 3
+        def corrupted(g, firsts, seconds, tol):
+            out = pair_block(g, firsts, seconds, tol)
+            for k in range(len(g)):
+                if np.array_equal(firsts[k], lx) and np.array_equal(seconds[k], ly):
+                    # the next class for codes, a change of 1 or 2 for cvals
+                    values = out[field + 1]
+                    values[k] = (values[k] + 1) % 3
             return out
 
         monkeypatch.setattr(pairs, "_pair_block", corrupted)
@@ -928,7 +927,7 @@ class TestCli:
 
     def test_validate_takes_two_overlaps_per_tile(self, monkeypatch):
         # one engine, and per upper tile of the pair matrix one overlap for
-        # each order of its pairs
+        # each order of its pairs; a diagonal tile holds both orders in one
         system = random_regular_system(40, 6, 2, np.random.default_rng(88))
         overlaps, init = pairs._overlaps, pairs.PairEngine.__init__
         calls, engines = [], []
@@ -945,7 +944,9 @@ class TestCli:
         monkeypatch.setattr(pairs.PairEngine, "__init__", counted_init)
         assert validate_system(system) == []
         assert len(engines) == 1
-        assert len(calls) <= 2 * len(list(pairs._block_pairs(len(system))))
+        # 40 points: diagonal tiles [0, 32)^2 and [32, 40)^2, one tile between
+        diagonal, off = [(0, 32, 0, 32), (32, 40, 32, 40)], [(0, 32, 32, 40), (32, 40, 0, 32)]
+        assert sorted(calls) == sorted(diagonal + off)
 
 
 class TestIoCrossCheck:

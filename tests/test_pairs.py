@@ -139,9 +139,38 @@ class TestEngineAgainstCore:
                 assert _CLS[res.codes[i, j]] is classify(x, y, tol, n=2)
                 assert res.orientation[i, j] == time_orientation(x, y, tol)
                 c = time_direction(x, y)
-                assert res.cvals[i, j] == pytest.approx(c, rel=1e-9, abs=1e-12)
                 sr = np.abs(product_spectrum(x, y, 2)).max()
-                assert res.specrad[i, j] == pytest.approx(sr, rel=1e-9, abs=1e-300)
+                # Above the diagonal the engine and the per-pair functions run
+                # the one pair routine on the same pair; time_direction pads
+                # to the smallest spin dimension admitting both points, so it
+                # sees the same input only where that is the system's.
+                if i < j and max(x.pos_eigs, x.neg_eigs, y.pos_eigs, y.neg_eigs) == 2:
+                    assert res.cvals[i, j] == c
+                else:
+                    assert res.cvals[i, j] == pytest.approx(c, rel=1e-9, abs=1e-12)
+                if i < j:
+                    assert res.specrad[i, j] == sr
+                else:
+                    assert res.specrad[i, j] == pytest.approx(sr, rel=1e-9, abs=1e-300)
+
+    def test_each_computed_pair_is_kept(self, monkeypatch):
+        # 40 points span a full and a partial diagonal tile: analyze solves
+        # each unordered pair, self pairs included, once, and both_orders
+        # each ordered pair of distinct points once
+        system = random_regular_system(40, 6, 2, np.random.default_rng(96))
+        eigvals, sizes = np.linalg.eigvals, []
+
+        def counted_eigvals(m):
+            sizes.append(int(np.prod(m.shape[:-2])))
+            return eigvals(m)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+        engine = PairEngine(system, workers=2)
+        engine.analyze()
+        assert sum(sizes) == 40 * 41 // 2
+        sizes.clear()
+        engine.both_orders()
+        assert sum(sizes) == 40 * 39
 
     def test_rank_one_point_nearly_in_the_kernel(self):
         # y = |v><v| with v in ker(x) up to a 1e-5 component in its image:
