@@ -95,11 +95,13 @@ def cmd_generate(args) -> int:
     doc = _load_config(args.config)
     kind = doc.get("kind", "minkowski")
     if kind == "minkowski":
-        system = minkowski.build_system(_minkowski_config(doc))
+        system = minkowski._translated_system(_minkowski_config(doc))
     elif kind == "mixture":
         if not all(isinstance(doc.get(k), list) for k in ("components", "weights")):
             raise ValidationError("a mixture config needs lists 'components' and 'weights'")
-        comps = [minkowski.build_system(_minkowski_config(c)) for c in doc["components"]]
+        comps = [
+            minkowski._translated_system(_minkowski_config(c)) for c in doc["components"]
+        ]
         spec = minkowski.MixtureSpec(tuple(comps), tuple(doc["weights"]))
         system = minkowski.mix_systems(spec)
     else:

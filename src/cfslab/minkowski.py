@@ -61,6 +61,10 @@ GAMMA = (_GAMMA0, _gamma_spatial(0), _gamma_spatial(1), _gamma_spatial(2))
 
 _ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
+#: gamma^0 gamma^i, i = 1, 2, 3: the one-particle Hamiltonian is
+#: ``sum_i alpha_i k_i + m gamma^0``.
+_ALPHA = tuple(_GAMMA0 @ g for g in GAMMA[1:])
+
 
 def minkowski_interval(a, b) -> float:
     """Lorentzian interval (+,-,-,-) of the coordinate difference ``b - a``."""
@@ -198,28 +202,24 @@ def build_modes(config: MinkowskiConfig) -> ModeSet:
             f"f = {config.f} exceeds the configured maximum {config.max_f}"
         )
     m, el = config.mass, config.torus_radius
-    norm = _mode_norm(el)
     rng = range(-config.kmax, config.kmax + 1)
-    momenta, spins, omegas, amps = [], [], [], []
-    for trip in itertools.product(rng, rng, rng):
-        k = np.array(trip, dtype=float) / el
-        h = sum(_GAMMA0 @ GAMMA[i + 1] * k[i] for i in range(3)) + m * _GAMMA0
-        w, v = np.linalg.eigh(h)
-        omega = math.sqrt(float(k @ k) + m * m)
-        if abs(w[0] + omega) > 1e-12 * omega or abs(w[1] + omega) > 1e-12 * omega:
-            raise ValidationError("lower Dirac branch not found")
-        for s in (0, 1):
-            momenta.append(k)
-            spins.append(s)
-            omegas.append(omega)
-            amps.append(norm * v[:, s])
+    k = np.array(list(itertools.product(rng, rng, rng)), dtype=float) / el
+    # one Hamiltonian per momentum, summed in the order of the terms
+    h = sum(_ALPHA[i] * k[:, i, None, None] for i in range(3)) + m * _GAMMA0
+    w, v = np.linalg.eigh(h)
+    # |k|^2 as one stacked product, which rounds as the dot product k @ k
+    omega = np.sqrt((k[:, None, :] @ k[:, :, None])[:, 0, 0] + m * m)
+    if np.any(np.abs(w[:, :2] + omega[:, None]) > 1e-12 * omega[:, None]):
+        raise ValidationError("lower Dirac branch not found")
+    # two spin states per momentum, the lower-branch eigenvectors as rows
+    amps = np.ascontiguousarray(v[:, :, :2].swapaxes(1, 2)).reshape(-1, 4)
     return ModeSet(
         mass=m,
         torus_radius=el,
-        momenta=np.array(momenta),
-        spins=np.array(spins, dtype=np.int8),
-        omegas=np.array(omegas),
-        amplitudes=np.array(amps),
+        momenta=np.repeat(k, 2, axis=0),
+        spins=np.tile(np.array([0, 1], dtype=np.int8), len(k)),
+        omegas=np.repeat(omega, 2),
+        amplitudes=_mode_norm(el) * amps,
     )
 
 
@@ -283,6 +283,10 @@ def _translates(modes: ModeSet, eps: float, coords) -> list[OperatorPoint]:
     spectral radius, so all points share one rank decision.  Eigenvalues
     and projectors agree with a point's own ``eigh`` to rounding; the basis
     inside a degenerate eigenspace may differ.
+
+    Two callers build their points here: :func:`transport_study`, once per
+    regularization length, and ``cfslab generate`` (:func:`_translated_system`),
+    once per config, whose files keep only the matrices.
     """
     first = local_correlation(modes, coords[0], eps)
     basis, eigs = first.image_basis(), first.nonzero_eigenvalues()
@@ -314,6 +318,23 @@ def build_system(
     if not config.sample_points:
         raise ValidationError("config has no sample points")
     return _build_system(config, build_modes(config), tolerances)
+
+
+def _translated_system(config: MinkowskiConfig) -> CausalFermionSystem:
+    """:func:`build_system`'s system from one eigendecomposition, for
+    ``cfslab generate``.
+
+    A file keeps only the matrices, which every point forms and symmetrizes
+    as ``build_system`` does, so the bytes written are the same; every point
+    after the first takes its image basis as a translate of the first's
+    (:func:`_translates`) instead of from its own ``eigh``.  This path goes
+    away once ``build_system`` itself builds from translates.
+    """
+    if not config.sample_points:
+        raise ValidationError("config has no sample points")
+    modes = build_modes(config)
+    ops = _translates(modes, config.eps, config.sample_points)
+    return _build_system(config, modes, ops=ops)
 
 
 def _build_system(config, modes: ModeSet, tolerances=None, ops=None) -> CausalFermionSystem:
@@ -525,11 +546,12 @@ def transport_study(
     (:func:`_translates`), so one eigendecomposition per regularization
     length serves every segment count.
 
-    :func:`build_system` still decomposes each point on its own.  Translates
-    pick another basis inside the degenerate eigenspaces, and the
-    Clifford-frame splices of spin transport along a general path depend on
-    that basis (``_eta_frame`` pivots on form values that tie to rounding),
-    so switching the builder would move those outputs.
+    The other caller of :func:`_translates` is ``cfslab generate``, which
+    writes only the matrices.  :func:`build_system` still decomposes each
+    point on its own.  Translates pick another basis inside the degenerate
+    eigenspaces, and the Clifford-frame splices of spin transport along a
+    general path depend on that basis (``_eta_frame`` pivots on form values
+    that tie to rounding), so switching the builder would move those outputs.
     """
     modes = build_modes(base_config)
     paths = [

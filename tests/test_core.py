@@ -53,9 +53,12 @@ class TestOperatorPoint:
         y = OperatorPoint(np.diag([1.0, 1e-8, -1.0]))
         assert y.rank == 3
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, complex(0.0, np.nan), complex(1.5e308, 1.5e308)]
+    )
     def test_rejects_non_finite_entry(self, bad):
-        # NaN compares false, so the Hermiticity test alone let it through
+        # NaN compares false, so the Hermiticity test alone let it through;
+        # the last entry has finite parts but a modulus that overflows
         m = np.diag([1.0, -1.0]).astype(complex)
         m[1, 1] = bad
         with pytest.raises(ValidationError, match="non-finite"):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from cfslab.causal import CausalGraph, LengthScales, distance_matrix
 from cfslab.cli import _with_tolerances, build_parser, main, validate_system
-from cfslab import minkowski, pairs
+from cfslab import cli, minkowski, pairs
 from cfslab.core import (
     CausalFermionSystem,
     OperatorPoint,
@@ -947,6 +947,96 @@ class TestCli:
         # 40 points: diagonal tiles [0, 32)^2 and [32, 40)^2, one tile between
         diagonal, off = [(0, 32, 0, 32), (32, 40, 32, 40)], [(0, 32, 32, 40), (32, 40, 0, 32)]
         assert sorted(calls) == sorted(diagonal + off)
+
+
+#: ``generate`` configs: a kmax=2 Dirac sea (f = 250) off the time axis, and
+#: a mixture of two kmax=1 seas with different masses and lengths.
+_GENERATE_DOCS = {
+    "sea": {
+        "kind": "minkowski",
+        "mass": 1.0,
+        "eps": 1e-3,
+        "torus_radius": 0.8,
+        "kmax": 2,
+        "sample_points": [
+            [0.0, 0.0, 0.0, 0.0],
+            [0.2, 0.1, -0.05, 0.0],
+            [-0.3, 0.0, 0.25, 0.1],
+            [0.1, -0.2, 0.0, 0.3],
+        ],
+    },
+    "mixture": {
+        "kind": "mixture",
+        "weights": [0.25, 0.75],
+        "components": [
+            {
+                "kind": "minkowski",
+                "kmax": 1,
+                "torus_radius": 0.8,
+                "sample_points": [[0.0, 0.0, 0.0, 0.0], [0.15, 0.2, 0.0, 0.0], [0.3, 0.0, 0.1, 0.0]],
+                "weights": [1.0, 2.0, 0.5],
+            },
+            {
+                "kind": "minkowski",
+                "mass": 1.3,
+                "eps": 2e-3,
+                "kmax": 1,
+                "sample_points": [[0.1, 0.0, 0.0, -0.2], [-0.1, 0.05, 0.0, 0.0]],
+            },
+        ],
+    },
+}
+
+
+class TestGenerate:
+    """``generate`` builds every point but the first of a config as its
+    translate; the file holds only matrices, so it must equal what the
+    per-point ``build_system`` writes."""
+
+    @staticmethod
+    def _configs(doc) -> list:
+        docs = doc["components"] if doc["kind"] == "mixture" else [doc]
+        return [cli._minkowski_config(d) for d in docs]
+
+    def _expected(self, doc, path) -> bytes:
+        systems = [minkowski.build_system(cfg) for cfg in self._configs(doc)]
+        if doc["kind"] == "mixture":
+            spec = minkowski.MixtureSpec(tuple(systems), tuple(doc["weights"]))
+            systems = [minkowski.mix_systems(spec)]
+        write_system(systems[0], path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(_GENERATE_DOCS))
+    def test_same_bytes_as_build_system(self, name, tmp_path, eigh_shapes):
+        doc = _GENERATE_DOCS[name]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        eigh_shapes.clear()
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "got.json")]) == 0
+        made = list(eigh_shapes)
+        assert (tmp_path / "got.json").read_bytes() == self._expected(doc, tmp_path / "want.json")
+        # one f x f eigendecomposition per Minkowski config
+        configs = self._configs(doc)
+        assert sum(made.count((f, f)) for f in {c.f for c in configs}) == len(configs)
+
+    @pytest.mark.parametrize("name", sorted(_GENERATE_DOCS))
+    def test_one_blas_thread_writes_the_same_bytes(self, name, tmp_path):
+        doc = _GENERATE_DOCS[name]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfslab.cli", "generate",
+             "--config", str(cfg_path), "--out", str(tmp_path / "got.json")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "got.json").read_bytes() == self._expected(doc, tmp_path / "want.json")
 
 
 class TestIoCrossCheck:

@@ -1,5 +1,7 @@
 """Dirac-sea systems on the torus: modes, correlation operators, mixtures."""
 
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +73,58 @@ class TestModes:
     def test_eps_mass_warning(self):
         with pytest.warns(UserWarning):
             mk.MinkowskiConfig(mass=1.0, eps=0.5, sample_points=((0, 0, 0, 0),))
+
+
+def loop_modes(config):
+    """Oracle: the mode set from one 4 x 4 ``eigh`` per momentum, in a loop."""
+    m, el = config.mass, config.torus_radius
+    norm = mk._mode_norm(el)
+    rng = range(-config.kmax, config.kmax + 1)
+    momenta, spins, omegas, amps = [], [], [], []
+    for trip in itertools.product(rng, rng, rng):
+        k = np.array(trip, dtype=float) / el
+        h = sum(mk._GAMMA0 @ mk.GAMMA[i + 1] * k[i] for i in range(3)) + m * mk._GAMMA0
+        w, v = np.linalg.eigh(h)
+        omega = math.sqrt(float(k @ k) + m * m)
+        assert abs(w[0] + omega) <= 1e-12 * omega and abs(w[1] + omega) <= 1e-12 * omega
+        for s in (0, 1):
+            momenta.append(k)
+            spins.append(s)
+            omegas.append(omega)
+            amps.append(norm * v[:, s])
+    return mk.ModeSet(
+        mass=m,
+        torus_radius=el,
+        momenta=np.array(momenta),
+        spins=np.array(spins, dtype=np.int8),
+        omegas=np.array(omegas),
+        amplitudes=np.array(amps),
+    )
+
+
+class TestBatchedModes:
+    @pytest.mark.parametrize("kmax", [0, 1, 2, 3])
+    @pytest.mark.parametrize("mass, radius", [(1.0, 0.8), (0.37, 2.9), (4.0, 0.123)])
+    def test_bit_identical_to_per_momentum_loop(self, kmax, mass, radius):
+        cfg = mk.MinkowskiConfig(mass=mass, torus_radius=radius, kmax=kmax)
+        got, want = mk.build_modes(cfg), loop_modes(cfg)
+        for name in ("momenta", "spins", "omegas", "amplitudes"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.flags.c_contiguous
+            # bytes, so that signed zeros count too
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_lower_branch_check_kept(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def shifted(a):
+            w, v = eigh(a)
+            return w + 1e-6, v
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        with pytest.raises(ValidationError, match="lower Dirac branch"):
+            mk.build_modes(mk.MinkowskiConfig(kmax=1))
 
 
 class TestLocalCorrelation:

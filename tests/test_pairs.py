@@ -10,6 +10,7 @@ from cfslab.core import (
     CausalClass,
     CausalFermionSystem,
     OperatorPoint,
+    _pair,
     classify,
     classify_spectrum,
     product_spectrum,
@@ -139,16 +140,15 @@ class TestEngineAgainstCore:
                 assert _CLS[res.codes[i, j]] is classify(x, y, tol, n=2)
                 assert res.orientation[i, j] == time_orientation(x, y, tol)
                 c = time_direction(x, y)
+                assert res.cvals[i, j] == pytest.approx(c, rel=1e-9, abs=1e-12)
                 sr = np.abs(product_spectrum(x, y, 2)).max()
-                # Above the diagonal the engine and the per-pair functions run
-                # the one pair routine on the same pair; time_direction pads
-                # to the smallest spin dimension admitting both points, so it
-                # sees the same input only where that is the system's.
-                if i < j and max(x.pos_eigs, x.neg_eigs, y.pos_eigs, y.neg_eigs) == 2:
-                    assert res.cvals[i, j] == c
-                else:
-                    assert res.cvals[i, j] == pytest.approx(c, rel=1e-9, abs=1e-12)
+                # Above the diagonal the engine runs the one-pair routine on
+                # the same pair, padded to the system's n; below it the
+                # engine mirrors the pair (j, i).
                 if i < j:
+                    _, _, orient, cval, _ = _pair(x, y, 2, tol)
+                    assert res.orientation[i, j] == orient
+                    assert res.cvals[i, j] == cval
                     assert res.specrad[i, j] == sr
                 else:
                     assert res.specrad[i, j] == pytest.approx(sr, rel=1e-9, abs=1e-300)
