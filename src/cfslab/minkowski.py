@@ -229,16 +229,10 @@ def dirac_residual(modes: ModeSet) -> float:
     Checks ``gamma(p) w = m w`` for the 4-momentum ``p = (-omega, k)`` of each
     mode, i.e. the negative-energy branch.
     """
-    worst = 0.0
-    eye = np.eye(4, dtype=np.complex128)
-    for a in range(len(modes)):
-        p4 = np.array([-modes.omegas[a], *modes.momenta[a]])
-        op = gamma_contract(p4) - modes.mass * eye
-        resid = np.linalg.norm(op @ modes.amplitudes[a]) / np.linalg.norm(
-            modes.amplitudes[a]
-        )
-        worst = max(worst, float(resid))
-    return worst
+    p4 = np.column_stack([-modes.omegas, modes.momenta]) * np.diag(_ETA)
+    w = modes.amplitudes
+    lhs = np.einsum("aj,jkl,al->ak", p4, np.stack(GAMMA), w) - modes.mass * w
+    return float((np.linalg.norm(lhs, axis=1) / np.linalg.norm(w, axis=1)).max(initial=0.0))
 
 
 def evaluation_matrix(modes: ModeSet, point, eps: float) -> np.ndarray:
@@ -410,10 +404,9 @@ def _minkowski_frame(xi=None):
     return frame
 
 
-def _isometry(system: CausalFermionSystem, modes: ModeSet, pid: str):
-    """Evaluation isometry of a point's spin space into the spinors at its
-    coordinate, and its left inverse through the spin inner product."""
-    coords = _coordinates(system)
+def _isometry(system: CausalFermionSystem, modes: ModeSet, coords: dict, pid: str):
+    """Evaluation isometry of a point's spin space into the spinors at
+    ``coords[pid]``, and its left inverse through the spin inner product."""
     x = system.point(pid)
     if not x.is_regular(system.n):
         raise ValidationError(f"point {pid!r} is singular")
@@ -452,11 +445,9 @@ def dirac_frame(
     difference when it is timelike), are pulled back to the spin space
     through the damped evaluation isometry.  The result has signature (1, 3).
     """
-    iota, iota_inv = _isometry(system, modes, x_id)
-    xi = None
-    if y_id is not None and y_id != x_id:
-        coords = _coordinates(system)
-        xi = coords[y_id] - coords[x_id]
+    coords = _coordinates(system)
+    iota, iota_inv = _isometry(system, modes, coords, x_id)
+    xi = None if y_id in (None, x_id) else coords[y_id] - coords[x_id]
     gens = tuple(
         iota_inv @ gamma_contract(e) @ iota for e in _minkowski_frame(xi)
     )
@@ -508,8 +499,9 @@ def _transport_deviations(system, modes: ModeSet, path_ids) -> dict:
 
     provider = clifford_provider(system, modes)
     total, records = compose_transport(system, path_ids, provider)
-    iota = _isometry(system, modes, path_ids[-1])[0]
-    mapped = iota @ total @ _isometry(system, modes, path_ids[0])[1]
+    coords = _coordinates(system)
+    iota = _isometry(system, modes, coords, path_ids[-1])[0]
+    mapped = iota @ total @ _isometry(system, modes, coords, path_ids[0])[1]
     # min over |c| = 1 of |T - c 1|^2 is |T|^2 + dim - 2 |tr T|
     sq = float(np.linalg.norm(mapped)) ** 2 + mapped.shape[0]
     spin_dev = math.sqrt(max(sq - 2.0 * abs(complex(np.trace(mapped))), 0.0))

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .core import CausalFermionSystem, SpinSpace, Tolerances
 from .errors import NotSpinConnectableError, SpliceError, ValidationError
@@ -337,26 +336,29 @@ def verify_clifford(generators, spin_sp: SpinSpace, tol: float = 1e-9) -> Cliffo
     gens = tuple(np.asarray(g, dtype=np.complex128) for g in generators)
     if not gens:
         raise ValidationError("a Clifford subspace needs at least one generator")
-    gd = spin_sp.gram_diag
-    k = len(gens)
-    metric = np.zeros((k, k))
-    for i, g in enumerate(gens):
-        sym_defect = np.linalg.norm(gd[:, None] * g - (gd[:, None] * g).conj().T)
-        if sym_defect > tol * max(1.0, np.linalg.norm(g)):
-            raise ValidationError(
-                f"generator {i} is not symmetric for the spin scalar product "
-                f"(defect {sym_defect:.3e})"
-            )
-    for i in range(k):
-        for j in range(i, k):
-            c, resid = _anticommutator_scalar(gens[i], gens[j])
-            scale = max(np.linalg.norm(gens[i]) * np.linalg.norm(gens[j]), 1.0)
-            if np.linalg.norm(resid) > tol * scale or abs(c.imag) > tol * scale:
-                raise ValidationError(
-                    f"anticommutator of generators {i}, {j} is not a real "
-                    f"multiple of the identity"
-                )
-            metric[i, j] = metric[j, i] = c.real
+    g = np.stack(gens)
+    r = g.shape[1]
+    norms = np.linalg.norm(g, axis=(1, 2))
+    weighted = spin_sp.gram_diag[:, None] * g
+    sym_defect = np.linalg.norm(weighted - weighted.conj().swapaxes(1, 2), axis=(1, 2))
+    # a refusal names the first failing generator, then pair i <= j (row-major)
+    for i in np.flatnonzero(sym_defect > tol * np.maximum(1.0, norms)):
+        raise ValidationError(
+            f"generator {i} is not symmetric for the spin scalar product "
+            f"(defect {sym_defect[i]:.3e})"
+        )
+    # every ordered product at once; {g_i, g_j} = 2 c_ij * identity + residual
+    prod = g[:, None] @ g[None]
+    anti = prod + prod.swapaxes(0, 1)
+    c = np.trace(anti, axis1=2, axis2=3) / (2.0 * r)
+    resid = np.linalg.norm(anti - 2.0 * c[..., None, None] * np.eye(r), axis=(2, 3))
+    scale = tol * np.maximum(np.outer(norms, norms), 1.0)
+    for i, j in np.argwhere(np.triu((resid > scale) | (np.abs(c.imag) > scale))):
+        raise ValidationError(
+            f"anticommutator of generators {i}, {j} is not a real "
+            f"multiple of the identity"
+        )
+    metric = c.real
     mu = np.linalg.eigvalsh(metric)
     if np.abs(mu).min() <= tol * max(1.0, np.abs(mu).max()):
         raise ValidationError("the induced bilinear form is degenerate")
@@ -373,12 +375,20 @@ def _subspace_frame(generators) -> np.ndarray:
     return q
 
 
+def _largest_sine(a, b) -> np.ndarray:
+    """Sine of the largest principal angle between the spans of orthonormal
+    columns ``a`` and ``b`` (either batched): the largest singular value of
+    the part of the smaller span's columns off the larger span."""
+    if a.shape[-1] > b.shape[-1]:
+        a, b = b, a
+    off = a - b @ (b.conj().swapaxes(-1, -2) @ a)
+    return np.linalg.svd(off, compute_uv=False)[..., 0]
+
+
 def grassmann_residual(k1: CliffordSubspace, k2: CliffordSubspace) -> float:
-    """Sine of the largest principal angle between the generator spans."""
-    angles = scipy.linalg.subspace_angles(
-        _subspace_frame(k1.generators), _subspace_frame(k2.generators)
-    )
-    return float(np.sin(angles).max(initial=0.0))
+    """Sine of the largest principal angle between the generator spans
+    (:func:`_largest_sine`), in either order and for any two dimensions."""
+    return float(_largest_sine(_subspace_frame(k1.generators), _subspace_frame(k2.generators)))
 
 
 def _eta_frame(subspace: CliffordSubspace):
@@ -441,10 +451,14 @@ def splice_map(
     if signs_a != signs_b:
         raise SpliceError("frame sign patterns disagree")
 
-    r = frame_a[0].shape[0]
+    # rows (1 (x) b_i - a_i^T (x) 1) of vec(U), np.kron's products to the bit (signed zeros too)
+    a, b = np.stack(frame_a), np.stack(frame_b)
+    r = a.shape[1]
     eye = np.eye(r)
-    rows = [np.kron(eye, b) - np.kron(a.T, eye) for a, b in zip(frame_a, frame_b)]
-    stacked = np.concatenate(rows, axis=0)
+    stacked = (
+        eye[:, None, :, None] * b[:, None, :, None, :]
+        - a.swapaxes(1, 2)[:, :, None, :, None] * eye[:, None, :]
+    ).reshape(-1, r * r)
     _, sing, vh = np.linalg.svd(stacked)
     scale = max(sing.max(initial=0.0), 1.0)
     null_rows = vh[sing <= 1e-8 * scale] if sing.size else vh[-1:]
@@ -533,9 +547,8 @@ def _phase_residuals(gx, gy, v, k, generators, target):
     ``D* g D = c^2 K*gK + s^2 K*v*gvK + c s i (K*gvK - K*v*gK)`` (at y),
     where ``*`` is the exact spin adjoint.  The three stacked terms are
     formed once; each evaluation is one batched QR of the mapped generator
-    spans and one batched SVD of their projection off ``target``, an
+    spans and one batched :func:`_largest_sine` against ``target``, an
     orthonormal frame (:func:`_subspace_frame`) of the reference span at y.
-    The largest singular value is the sine of the largest principal angle.
     """
     gens = np.stack(generators)
     k_adj = spin_adjoint(k, gy, gx)
@@ -546,9 +559,7 @@ def _phase_residuals(gx, gy, v, k, generators, target):
 
     def residuals(phis) -> np.ndarray:
         c, s = np.cos(phis)[:, None, None], np.sin(phis)[:, None, None]
-        q = np.linalg.qr(c * c * t0 + s * s * t1 + c * s * t2)[0]
-        off = q - target @ (target.conj().T @ q)
-        return np.linalg.svd(off, compute_uv=False)[:, 0]
+        return _largest_sine(np.linalg.qr(c * c * t0 + s * s * t1 + c * s * t2)[0], target)
 
     return residuals
 
@@ -563,8 +574,8 @@ def _scan_phi(system, x_id, y_id, connection, v, k, k_xy, k_yx):
     (:func:`_phase_residuals`) and the golden-section refinement evaluates
     the same closed form at one phase per step.  The range's result is then
     evaluated explicitly, conjugating by ``connection(phi)`` and comparing
-    the generator spans with ``subspace_angles``, as
-    :func:`grassmann_residual` does; that value is the one returned and
+    the generator spans with :func:`_largest_sine`, the arithmetic of
+    :func:`grassmann_residual`; that value is the one returned and
     compared.  On a tie the positive range wins, keeping reports
     deterministic.
     """
@@ -580,8 +591,7 @@ def _scan_phi(system, x_id, y_id, connection, v, k, k_xy, k_yx):
         d = connection(phi)
         d_inv = spin_adjoint(d, gy, gx)
         mapped = _subspace_frame([d_inv @ g @ d for g in k_xy.generators])
-        angles = scipy.linalg.subspace_angles(mapped, target)
-        return float(np.sin(angles).max(initial=0.0))
+        return float(_largest_sine(mapped, target))
 
     best = None
     for lo, hi in PHI_RANGES:
@@ -773,10 +783,8 @@ def metric_connection(
     isometry defect of the induced bilinear forms.
     """
     hint = (k_xy, k_yx) if k_xy is not None and k_yx is not None else None
-    if k_xy is None:
-        k_xy = t_x
-    if k_yx is None:
-        k_yx = t_y
+    k_xy = t_x if k_xy is None else k_xy
+    k_yx = t_y if k_yx is None else k_yx
     spin_x = system.spin_space(x_id)
     spin_y = system.spin_space(y_id)
     v_y = splice_map(spin_y, k_from=t_y, k_to=k_yx)

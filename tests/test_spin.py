@@ -22,6 +22,55 @@ from conftest import (
 )
 
 
+def provider_frames(system, modes):
+    """Every frame the Minkowski provider hands out on ``system``: the
+    tangent frame and each pair frame at every point, with its spin space."""
+    provide = mk.clifford_provider(system, modes)
+    return [
+        (system.spin_space(a), provide(a, b))
+        for a in system.ids
+        for b in (None, *system.ids)
+        if b != a
+    ]
+
+
+def pairwise_metric(gens):
+    """The induced form with one anticommutator per generator pair: the
+    loop form of ``verify_clifford``'s batched product."""
+    k = len(gens)
+    metric = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            anti = gens[i] @ gens[j] + gens[j] @ gens[i]
+            metric[i, j] = metric[j, i] = (np.trace(anti) / (2.0 * len(anti))).real
+    return metric
+
+
+def kron_system(k_from, k_to):
+    """The intertwiner system of ``splice_map``, stacked from one ``np.kron``
+    pair per frame pair."""
+    (frame_a, _), (frame_b, _) = k_from._frame, k_to._frame
+    eye = np.eye(frame_a[0].shape[0])
+    rows = [np.kron(eye, b) - np.kron(a.T, eye) for a, b in zip(frame_a, frame_b)]
+    return np.concatenate(rows, axis=0)
+
+
+def kron_splice(spin_sp, k_from, k_to):
+    """``splice_map`` solving :func:`kron_system`, error checks left out."""
+    r = spin_sp.gram_diag.shape[0]
+    eye = np.eye(r)
+    _, sing, vh = np.linalg.svd(kron_system(k_from, k_to))
+    basis = vh[sing <= 1e-8 * max(sing.max(), 1.0)].conj().T
+    u_vec = basis @ (basis.conj().T @ eye.ravel(order="F").astype(np.complex128))
+    if np.linalg.norm(u_vec) < 1e-8:
+        u_vec = basis[:, -1]
+    u = u_vec.reshape(r, r, order="F")
+    gd = spin_sp.gram_diag
+    u = u / math.sqrt((np.trace(spin_adjoint(u, gd, gd) @ u) / r).real)
+    idx = np.unravel_index(np.argmax(np.abs(u)), u.shape)
+    return u * np.conj(u[idx] / abs(u[idx]))
+
+
 class TestWaveFunctions:
     def test_projection_identities(self):
         rng = np.random.default_rng(21)
@@ -227,6 +276,39 @@ class TestVerifyClifford:
         bad[0, 1] = 1.0
         with pytest.raises(ValidationError):
             cl.verify_clifford([bad], sp)
+
+    def test_metric_matches_pairwise_loop_on_provider_frames(self, small_minkowski):
+        _, system, modes = small_minkowski
+        for sp, frame in provider_frames(system, modes):
+            sub = cl.verify_clifford(frame.generators, sp, tol=1e-7)
+            assert sub.signature == (1, 3)
+            assert np.abs(sub.metric - pairwise_metric(frame.generators)).max() <= 1e-14
+
+    @staticmethod
+    def _dirac_space():
+        return OperatorPoint(-np.diag([1.0, 1.0, -1.0, -1.0])).spin_space()
+
+    def test_first_non_symmetric_generator_named(self):
+        bad = np.zeros((4, 4), dtype=complex)
+        bad[0, 1] = 1.0
+        gens = [mk.GAMMA[0], bad, 2 * bad, mk.GAMMA[3]]
+        with pytest.raises(ValidationError, match=r"^generator 1 is not symmetric"):
+            cl.verify_clifford(gens, self._dirac_space())
+
+    def test_first_non_scalar_anticommutator_in_row_major_order(self):
+        g0, g1, g2, _ = mk.GAMMA
+        # i g0 g2 and i g1 g2 are symmetric; {g1, i g0 g2} and {g0, i g1 g2}
+        # are the only non-scalar anticommutators, and (0, 3) precedes (1, 2)
+        gens = [g0, g1, 1j * g0 @ g2, 1j * g1 @ g2]
+        with pytest.raises(ValidationError, match=r"generators 0, 3 is not"):
+            cl.verify_clifford(gens, self._dirac_space())
+        with pytest.raises(ValidationError, match=r"generators 1, 2 is not"):
+            cl.verify_clifford(gens[:3], self._dirac_space())
+
+    def test_degenerate_form_rejected(self):
+        # every anticommutator is 2 * identity, so the form is [[1, 1], [1, 1]]
+        with pytest.raises(ValidationError, match="induced bilinear form is degenerate"):
+            cl.verify_clifford([mk.GAMMA[0], mk.GAMMA[0]], self._dirac_space())
 
 
 class TestSpinConnection:
@@ -505,6 +587,71 @@ class TestSplice:
         k1 = cl.verify_clifford([mk.GAMMA[0]], sp)
         with pytest.raises(SpliceError):
             cl.splice_map(sp, k, k1)
+
+    def test_maps_match_kron_oracle_to_the_bit(self, small_minkowski, monkeypatch):
+        # the system solved, signed zeros included, and the map it gives
+        _, system, modes = small_minkowski
+        solved = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: solved.append(m) or svd(m, **kw))
+        frames = provider_frames(system, modes)
+        pairs = [(sp, a, b) for sp, a in frames for sp_b, b in frames if sp_b is sp]
+        # two generators do not generate the full algebra: the degenerate
+        # intertwiner space and its closest-to-identity convention, on a
+        # tilted pair frame
+        sp5 = system.spin_space("p0005")
+        tilted = (mk.dirac_frame(system, modes, "p0005", y) for y in (None, "p0003"))
+        two = [cl.verify_clifford(k.generators[:2], sp5, tol=1e-7) for k in tilted]
+        assert two[0].dim == 2 and np.linalg.norm(kron_splice(sp5, *two) - np.eye(4)) > 0.1
+        for sp, a, b in pairs + [(sp5, *two)]:
+            want = kron_splice(sp, a, b).tobytes()
+            solved.clear()
+            assert cl.splice_map(sp, a, b).tobytes() == want
+            assert [m.tobytes() for m in solved] == [kron_system(a, b).tobytes()]
+
+
+class TestGrassmannResidual:
+    @staticmethod
+    def _span(gens):
+        return CliffordSubspace(tuple(gens), np.eye(len(gens)), (len(gens), 0))
+
+    @staticmethod
+    def _scipy_sine(k1, k2):
+        angles = scipy.linalg.subspace_angles(
+            np.stack([g.ravel() for g in k1.generators], axis=1),
+            np.stack([g.ravel() for g in k2.generators], axis=1),
+        )
+        return np.sin(angles).max()
+
+    def test_matches_scipy_subspace_angles(self, small_minkowski):
+        _, system, modes = small_minkowski
+        rng = np.random.default_rng(43)
+        frames = [frame for _, frame in provider_frames(system, modes)]
+        spans = [
+            self._span(rng.normal(size=(k, 4, 4)) + 1j * rng.normal(size=(k, 4, 4)))
+            for k in (1, 2, 4, 4, 7)
+        ]
+        # provider frames at one point, and random spans of unequal dimensions
+        cases = [(frames[0], f) for f in frames[1:6]] + [
+            (a, b) for a in spans for b in spans if a is not b
+        ]
+        for k1, k2 in cases:
+            got = grassmann_residual(k1, k2)
+            assert abs(got - self._scipy_sine(k1, k2)) <= 1e-12
+            if k1.dim != k2.dim:
+                assert grassmann_residual(k2, k1) == got
+            else:
+                assert abs(grassmann_residual(k2, k1) - got) <= 1e-14
+
+    def test_nested_spans_read_zero(self, small_minkowski):
+        _, system, modes = small_minkowski
+        k = mk.dirac_frame(system, modes, "p0000", "p0001")
+        for sub in (k.generators[:1], k.generators[1:3], k.generators):
+            assert grassmann_residual(self._span(sub), k) <= 1e-15
+            assert grassmann_residual(k, self._span(sub)) <= 1e-15
+        # a span of coordinate matrices and a sub-span read exactly 0
+        units = np.eye(16).reshape(16, 4, 4)[:5]
+        assert grassmann_residual(self._span(units[:2]), self._span(units)) == 0.0
 
 
 class TestHolonomy:
