@@ -131,6 +131,6 @@ def retract(
     vk = v[:, keep]
     truncated = _hermitian((vk * kept_w) @ vk.conj().T)
     # the kept eigenpairs are the point's, in descending order
-    point = OperatorPoint.__new__(OperatorPoint)
-    point._build(truncated, np.ascontiguousarray(vk[:, ::-1]), kept_w[::-1].copy(), radius)
-    return point
+    return OperatorPoint._from_factors(
+        truncated, np.ascontiguousarray(vk[:, ::-1]), kept_w[::-1].copy(), radius
+    )

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from graphlib import TopologicalSorter
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -51,43 +52,65 @@ class LengthScales:
         if not (0 < self.l_min < self.l_max):
             raise ValidationError("need 0 < l_min < l_max")
 
-    def windowed(self, value: float) -> float:
-        return value if self.l_min < value < self.l_max else 0.0
+    def windowed(self, value):
+        """``value`` strictly inside the window, else 0; elementwise, and a
+        float for a float."""
+        return np.where((self.l_min < value) & (value < self.l_max), value, 0.0)[()]
+
+
+def _lengths(specrad, scales: LengthScales) -> np.ndarray:
+    """Length functional of pairs from the spectral radii ``|xy|`` of their
+    products, elementwise."""
+    with np.errstate(divide="ignore"):
+        return scales.windowed(np.where(specrad > 0, specrad ** (-1.0 / 6.0), 0.0))
 
 
 def ell(x: OperatorPoint, y: OperatorPoint, scales: LengthScales) -> float:
     """Length functional: |xy|^(-1/6) windowed to (l_min, l_max), else 0.
 
     ``|xy|`` is the spectral radius of the product, from the pair routine
-    of :mod:`cfslab.core`.  A vanishing product (infinite nominal length)
-    returns 0.
+    of :mod:`cfslab.core`, and the arithmetic is that of
+    :func:`build_causal_graph`: the weight of an edge between the i-th and
+    the j-th point, i < j, is ``ell`` of the pair in that order, to the bit.
+    A vanishing product (infinite nominal length) returns 0.
     """
-    mag = float(_pair(x, y)[4])
-    if mag <= 0.0:
-        return 0.0
-    return scales.windowed(mag ** (-1.0 / 6.0))
+    return float(_lengths(np.asarray(_pair(x, y)[4]), scales))
+
+
+def _grouped(values, keys, k: int) -> list[list]:
+    """``values`` split by their ``keys`` in 0..k-1, each group in order."""
+    ends = np.cumsum(np.bincount(keys, minlength=k)).tolist()
+    values = values[np.argsort(keys, kind="stable")].tolist()
+    return [values[a:b] for a, b in zip([0, *ends], ends)]
 
 
 class CausalGraph:
     """Weighted digraph of future-directed timelike relations.
 
-    Vertices are point ids in system order; an edge ``u -> v`` carries the
-    window value of the length functional.  The strongly-connected-component
-    condensation and the matrix of longest walks are computed once and
-    cached; every distance and order query reads that matrix.
+    Vertices are point ids in system order; ``edges``, kept as ``weights``,
+    maps index pairs ``(u, v)`` to the window value of the length functional
+    on ``u -> v``.  Endpoints must be vertex indices, and weights positive
+    and finite: the distance and the order rely on every walk having
+    positive length.  Every edge, component and walk query reads one sparse
+    matrix of the edges, each row in target order.  The matrix of longest
+    walks is computed once and cached; every distance and order query, and
+    the orthogonality complement of any number of points, reads it.
     """
 
     def __init__(self, ids, edges):
         self.ids = tuple(ids)
         self._index = {pid: k for k, pid in enumerate(self.ids)}
         n = len(self.ids)
-        self.adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        self.weights: dict[tuple[int, int], float] = {}
-        for (u, v), w in edges.items():
-            self.adj[u].append((v, w))
-            self.weights[(u, v)] = w
-        for lst in self.adj:
-            lst.sort()
+        self.weights: dict[tuple[int, int], float] = dict(edges)
+        ends = np.array(list(self.weights), dtype=np.int64).reshape(-1, 2)
+        w = np.array(list(self.weights.values()), dtype=np.float64)
+        if not np.all((w > 0) & (w < math.inf)):
+            raise ValidationError("edge weights must be positive and finite")
+        if not np.all((ends >= 0) & (ends < n)):
+            raise ValidationError(f"edge endpoints must be vertex indices below {n}")
+        order = np.lexsort((ends[:, 1], ends[:, 0]))
+        indptr = np.r_[0, np.cumsum(np.bincount(ends[:, 0], minlength=n))]
+        self._matrix = csr_matrix((w[order], ends[order, 1], indptr), shape=(n, n))
         self._scc = None
         self._longest = None
         self._reach = None
@@ -97,73 +120,54 @@ class CausalGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.weights)
+        return self._matrix.nnz
 
     def index(self, pid: str) -> int:
         return self._index[pid]
 
     def edges(self):
-        """Edges as (u_id, v_id, weight), deterministic order."""
-        for u in range(len(self.ids)):
-            for v, w in self.adj[u]:
-                yield self.ids[u], self.ids[v], w
+        """Edges as (u_id, v_id, weight), by source, then by target index."""
+        m = self._matrix
+        rows = np.repeat(np.arange(len(self)), np.diff(m.indptr))
+        for u, v, w in zip(rows.tolist(), m.indices.tolist(), m.data.tolist()):
+            yield self.ids[u], self.ids[v], w
 
     def scc_labels(self) -> np.ndarray:
         """Strongly-connected-component label per vertex (cached)."""
         if self._scc is None:
-            n = len(self.ids)
-            if self.weights:
-                rows, cols = zip(*self.weights.keys())
-                mat = csr_matrix(
-                    (np.ones(len(rows)), (rows, cols)), shape=(n, n)
-                )
-            else:
-                mat = csr_matrix((n, n))
-            _, labels = connected_components(
-                mat, directed=True, connection="strong"
+            _, self._scc = connected_components(
+                self._matrix, directed=True, connection="strong"
             )
-            self._scc = labels
         return self._scc
 
     def cyclic_vertices(self) -> np.ndarray:
         """Boolean mask of vertices on a cycle: in a nontrivial component or
         carrying a self-loop."""
         labels = self.scc_labels()
-        counts = np.bincount(labels, minlength=labels.max(initial=0) + 1)
-        cyclic = counts[labels] > 1
-        cyclic[[u for u, v in self.weights if u == v]] = True
-        return cyclic
+        return (np.bincount(labels)[labels] > 1) | (self._matrix.diagonal() > 0)
 
     def longest_walks(self) -> np.ndarray:
         """Matrix L of longest walks with >= 1 edge (cached).
 
         ``L[u, v]`` is -inf when no such walk leads from u to v, inf when
         one meets a cycle, and the longest path length otherwise.  One sweep
-        visits the condensation in topological order and, per edge, updates
-        the target's column for all sources at once.
+        visits the condensation in topological order and, per vertex, updates
+        the columns of all its targets for all sources at once.  Every entry
+        is the maximum of the same sums in any topological order, so the
+        matrix does not depend on the order chosen.
         """
         if self._longest is None:
-            n = len(self.ids)
-            labels = self.scc_labels().tolist()
+            m, labels = self._matrix, self.scc_labels()
+            n, k = m.shape[0], labels.max(initial=-1) + 1
             cyclic = self.cyclic_vertices()
-            members = [[] for _ in range(max(labels, default=-1) + 1)]
-            for v, c in enumerate(labels):
-                members[c].append(v)
-            succ = [set() for _ in members]
-            indeg = [0] * len(members)
-            for u, v in self.weights:
-                cu, cv = labels[u], labels[v]
-                if cu != cv and cv not in succ[cu]:
-                    succ[cu].add(cv)
-                    indeg[cv] += 1
-            order = [c for c, d in enumerate(indeg) if d == 0]
-            for c in order:  # Kahn: the list grows while it is walked
-                for t in succ[c]:
-                    indeg[t] -= 1
-                    if indeg[t] == 0:
-                        order.append(t)
+            members = _grouped(np.arange(n), labels, k)
+            # the condensation: the components with an edge into each one
+            tail = labels[np.repeat(np.arange(n), np.diff(m.indptr))]
+            head = labels[m.indices]
+            cross = tail != head
+            preds = _grouped(tail[cross], head[cross], k)
             longest = np.full((n, n), -math.inf)
-            for c in order:
+            for c in TopologicalSorter(dict(enumerate(preds))).static_order():
                 vs = members[c]
                 if cyclic[vs[0]]:
                     # every walk into or inside the component can loop
@@ -173,8 +177,9 @@ class CausalGraph:
                 for w in vs:
                     start = longest[:, w].copy()
                     start[w] = max(start[w], 0.0)
-                    for t, weight in self.adj[w]:
-                        np.maximum(longest[:, t], start + weight, out=longest[:, t])
+                    out = slice(m.indptr[w], m.indptr[w + 1])
+                    t = m.indices[out]
+                    longest[:, t] = np.maximum(longest[:, t], start[:, None] + m.data[out])
             self._longest = longest
         return self._longest
 
@@ -194,7 +199,8 @@ def build_causal_graph(
     in the future of u, and the length functional is inside the window.
 
     Every pair goes through the batched pair engine, with the system's own
-    tolerances.
+    tolerances; an edge and its mirror share the spectral radius of the pair
+    in system order.
     """
     md = system.metadata
     eps, mass = md.get("eps"), md.get("mass")
@@ -204,14 +210,10 @@ def build_causal_graph(
         warnings.warn("l_max reaches the Compton scale 1/m", stacklevel=2)
 
     res = PairEngine(system, workers=workers).analyze()
-    timelike = res.codes == 1
-    future = res.orientation == 1
-    with np.errstate(divide="ignore"):
-        nominal = np.where(res.specrad > 0, res.specrad ** (-1.0 / 6.0), 0.0)
-    inside = (scales.l_min < nominal) & (nominal < scales.l_max)
+    length = _lengths(res.specrad, scales)
     edges = {
-        (int(u), int(v)): float(nominal[u, v])
-        for u, v in zip(*np.nonzero(timelike & future & inside))
+        (int(u), int(v)): float(length[u, v])
+        for u, v in zip(*np.nonzero((res.codes == 1) & (res.orientation == 1) & (length > 0)))
     }
     return CausalGraph(system.ids, edges)
 
@@ -245,21 +247,17 @@ def partial_order(x_id: str, y_id: str, graph: CausalGraph) -> bool:
     return bool(graph.reachable()[graph.index(x_id), graph.index(y_id)])
 
 
-def _incomparability_masks(graph: CausalGraph) -> list[int]:
-    """Bitmask of points orthogonal to each point (neither precedes the other)."""
+def _incomparable(graph: CausalGraph) -> np.ndarray:
+    """Boolean matrix of orthogonal pairs: neither point precedes the other."""
     reach = graph.reachable()
-    incomparable = ~(reach | reach.T | np.eye(len(graph), dtype=bool))
-    return [sum(1 << v for v in np.flatnonzero(row).tolist()) for row in incomparable]
+    return ~(reach | reach.T | np.eye(len(graph), dtype=bool))
 
 
 def ortho_complement(a_ids, graph: CausalGraph) -> set:
-    """Set of points orthogonal to every member of ``a_ids``."""
-    masks = _incomparability_masks(graph)
-    full = (1 << len(graph)) - 1
-    acc = full
-    for pid in a_ids:
-        acc &= masks[graph.index(pid)]
-    return {graph.ids[v] for v in range(len(graph)) if acc >> v & 1}
+    """Set of points orthogonal to every member of ``a_ids``; any number of
+    points."""
+    rows = _incomparable(graph)[[graph.index(pid) for pid in a_ids]]
+    return {graph.ids[v] for v in np.flatnonzero(rows.all(axis=0)).tolist()}
 
 
 def enumerate_lattice(graph: CausalGraph, max_points: int = 20) -> list:
@@ -276,35 +274,31 @@ def enumerate_lattice(graph: CausalGraph, max_points: int = 20) -> list:
         raise ValidationError(
             f"system has {n} points, more than max_points = {max_points} or 63"
         )
-    masks = _incomparability_masks(graph)
-    full = (1 << n) - 1
-    closed = {full}
-    for m in masks:
-        closed |= {c & m for c in closed}
+    bit = np.int64(1) << np.arange(n, dtype=np.int64)
+    closed = {int(bit.sum())}
+    for mask in (_incomparable(graph) @ bit).tolist():
+        closed |= {c & mask for c in closed}
     # the empty set is always closed (its double complement is empty because
     # no point is orthogonal to itself)
     closed.add(0)
     bits = np.fromiter(closed, dtype=np.int64, count=len(closed))
     # key[k] is the string rank of each set's k-th member in point order
-    rank = np.empty(n, dtype=np.int8)
-    rank[sorted(range(n), key=graph.ids.__getitem__)] = np.arange(n)
+    perm = sorted(range(n), key=graph.ids.__getitem__)
+    rank = np.argsort(perm).astype(np.int8)
     size = np.zeros(len(bits), dtype=np.int8)
     key = np.zeros((n, len(bits)), dtype=np.int8)
-    for v in range(n):
-        has = (bits >> v & 1).astype(bool)
+    for v, has in enumerate((bits & bit[:, None]) != 0):
         key[size[has], has] = rank[v]
         size += has
-    bits = bits[np.lexsort((*key[::-1], size))]
-
-    def unpack(b):
-        return tuple(graph.ids[v] for v in range(n) if b >> v & 1)
-
-    # each tuple is the concatenation of its low and high halves
-    h = n // 2
-    low = (1 << h) - 1
-    lo = {b: unpack(b) for b in np.unique(bits & low).tolist()}
-    hi = {b: unpack(b << h) for b in np.unique(bits >> h).tolist()}
-    return [lo[b & low] + hi[b >> h] for b in bits.tolist()]
+    order = np.lexsort((*key[::-1], size))
+    key, size = key[:, order], size[order]
+    # the sets of size k are contiguous, and zip joins their k member columns
+    by_rank = np.array(graph.ids, dtype=object)[perm]
+    bounds = np.searchsorted(size, np.arange(n + 2)).tolist()
+    sets = [()]  # the one set of size 0
+    for k in range(1, n + 1):
+        sets += zip(*by_rank[key[:k, bounds[k]:bounds[k + 1]]].tolist())
+    return sets
 
 
 def tangent_cone_histogram(
@@ -322,7 +316,7 @@ def tangent_cone_histogram(
     the measure of the ball.  Bin predicates must be scale-invariant (accept
     ``t A`` for all t > 0 whenever they accept ``A``) to qualify as conical.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValidationError("delta must be positive")
     x = system.point(x_id)
     bx = x.image_basis()

@@ -230,8 +230,14 @@ class OperatorPoint:
         """
         tol = tol or DEFAULT_TOL
         a = _hermitian(matrix)
+        return cls._from_factors(a, *(_range_parts(a, max_rank, tol) or _eigh_parts(a, tol)))
+
+    @classmethod
+    def _from_factors(cls, matrix, basis, eigenvalues, radius):
+        """The point of a Hermitian matrix whose factors are already known,
+        taken as they are; see :meth:`_build`."""
         x = cls.__new__(cls)
-        x._build(a, *(_range_parts(a, max_rank, tol) or _eigh_parts(a, tol)))
+        x._build(matrix, basis, eigenvalues, radius)
         return x
 
     def _build(self, matrix, basis, eigenvalues, radius):

@@ -289,14 +289,12 @@ def _translates(modes: ModeSet, eps: float, coords) -> list[OperatorPoint]:
     for p in coords[1:]:
         a = np.asarray(p, dtype=float) - origin
         phase = np.exp(1j * (modes.momenta @ a[1:] + modes.omegas * a[0]))
-        x = OperatorPoint.__new__(OperatorPoint)
-        x._build(
+        points.append(OperatorPoint._from_factors(
             _hermitian(_correlation_matrix(modes, p, eps)),
             np.conj(phase)[:, None] * basis,
             eigs,
             first.spectral_radius,
-        )
-        points.append(x)
+        ))
     return points
 
 

@@ -40,9 +40,13 @@ def brute_distance(graph, u, v):
 
     A repeated vertex on a walk from u to v witnesses a positive-weight cycle
     on the way, which makes the supremum infinite; otherwise the supremum is
-    over simple chains.
+    over simple chains.  Each chain's weights are added from its start, as
+    the longest-walk sweep adds them, so the two agree to the bit.
     """
     n = len(graph)
+    adj = [[] for _ in range(n)]
+    for (a, b), weight in sorted(graph.weights.items()):
+        adj[a].append((b, weight))
     best = [0.0]
     infinite = [False]
 
@@ -52,7 +56,7 @@ def brute_distance(graph, u, v):
                 infinite[0] = True
             elif length > best[0]:
                 best[0] = length
-        for t, weight in graph.adj[w]:
+        for t, weight in adj[w]:
             if counts[t] >= 2:
                 continue
             counts[t] += 1
@@ -141,6 +145,19 @@ class TestBuildGraph:
                     if expect:
                         assert edges[(eu.id, ev.id)] == pytest.approx(w, rel=1e-9)
 
+    def test_edge_weight_is_ell_of_the_pair_in_system_order(self):
+        # an edge and its mirror share the spectral radius of the pair in
+        # system order, which ell recomputes with the same arithmetic
+        rng = np.random.default_rng(60)
+        scales = LengthScales(1e-2, 1e2)
+        system = random_regular_system(40, 8, 2, rng)
+        graph = build_causal_graph(system, scales)
+        pts = [e.op for e in system.points]
+        assert {u < v for u, v in graph.weights} == {True, False}
+        for (u, v), w in graph.weights.items():
+            assert ell(pts[min(u, v)], pts[max(u, v)], scales) == w
+            assert ell(pts[u], pts[v], scales) == pytest.approx(w, rel=1e-12)
+
     def test_never_both_directions(self):
         rng = np.random.default_rng(44)
         for _ in range(5):
@@ -162,18 +179,35 @@ class TestBuildGraph:
         graph = build_causal_graph(system, LengthScales(1e-3, 1e3))
         # whatever the orientations, edges agree with the functional's signs
         tol = system.tolerances
+        edges = {(u, v) for u, v, _ in graph.edges()}
+        assert edges
         for eu in system.points:
             for ev in system.points:
                 if eu.id == ev.id:
                     continue
                 c = time_direction(eu.op, ev.op)
                 thr = tol.imag_rel * eu.op.spectral_radius * ev.op.spectral_radius
-                in_graph = (eu.id, ev.id) in graph.weights or (
-                    graph.index(eu.id),
-                    graph.index(ev.id),
-                ) in graph.weights
-                if in_graph:
+                if (eu.id, ev.id) in edges:
                     assert c > thr
+
+
+class TestCausalGraph:
+    @pytest.mark.parametrize("weight", [0.0, -1.0, math.inf, math.nan])
+    def test_refuses_weight_not_positive_and_finite(self, weight):
+        with pytest.raises(ValidationError):
+            make_graph(3, {(0, 1): 1.0, (1, 2): weight})
+
+    @pytest.mark.parametrize("edge", [(0, 3), (3, 0), (-1, 1), (1, -1)])
+    def test_refuses_endpoint_outside_vertex_range(self, edge):
+        with pytest.raises(ValidationError):
+            make_graph(3, {(0, 1): 1.0, edge: 1.0})
+
+    def test_edges_by_source_then_target(self):
+        g = make_graph(3, {(2, 0): 0.5, (0, 2): 1.5, (1, 1): 2.0, (0, 1): 1.0})
+        assert list(g.edges()) == [
+            ("g0", "g1", 1.0), ("g0", "g2", 1.5), ("g1", "g1", 2.0), ("g2", "g0", 0.5)
+        ]
+        assert g.n_edges == 4
 
 
 class TestLorentzianDistance:
@@ -202,12 +236,7 @@ class TestLorentzianDistance:
             ids = g.ids
             u = int(rng.integers(len(ids)))
             v = int(rng.integers(len(ids)))
-            got = lorentzian_distance(ids[u], ids[v], g)
-            want = brute_distance(g, u, v)
-            if math.isinf(want):
-                assert math.isinf(got)
-            else:
-                assert got == pytest.approx(want, abs=1e-12)
+            assert lorentzian_distance(ids[u], ids[v], g) == brute_distance(g, u, v)
 
     def test_distance_matrix_consistent(self):
         rng = np.random.default_rng(47)
@@ -244,11 +273,7 @@ class TestLorentzianDistance:
             dmat = distance_matrix(g)
             for u in range(n):
                 for v in range(n):
-                    want = brute_distance(g, u, v)
-                    if math.isinf(want):
-                        assert math.isinf(dmat[u, v])
-                    else:
-                        assert dmat[u, v] == pytest.approx(want, abs=1e-12)
+                    assert dmat[u, v] == brute_distance(g, u, v)
 
     def test_queries_read_one_matrix(self):
         rng = np.random.default_rng(58)
@@ -323,6 +348,16 @@ class TestLattice:
         g = make_graph(2, {})
         assert ortho_complement(["g0"], g) == {"g1"}
         assert enumerate_lattice(g) == [(), ("g0",), ("g1",), ("g0", "g1")]
+
+    def test_complement_beyond_63_points_matches_order(self):
+        rng = np.random.default_rng(61)
+        g = random_graph(rng, n=70, p=0.02)
+        order = np.array([[partial_order(u, v, g) for v in g.ids] for u in g.ids])
+        orthogonal = ~(order | order.T)
+        for a in [[], [69], [3], [0, 64], list(rng.choice(70, 3, replace=False))]:
+            want = {g.ids[v] for v in np.flatnonzero(orthogonal[a].all(axis=0))}
+            assert ortho_complement([g.ids[u] for u in a], g) == want
+            assert any(int(pid[1:]) >= 63 for pid in want)
 
     def test_size_cap(self):
         g = make_graph(5, {})
@@ -463,6 +498,12 @@ class TestTangentCone:
         m1 = tangent_cone_histogram(system1, "x", delta, bins)
         m2 = tangent_cone_histogram(system2, "x", delta, bins)
         assert np.allclose(m1, m2)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.5, math.nan])
+    def test_radius_must_be_positive(self, delta):
+        system, _ = self._tube_system(np.random.default_rng(53))
+        with pytest.raises(ValidationError):
+            tangent_cone_histogram(system, "x", delta, [lambda a: True])
 
     def test_empty_ball_errors(self):
         # the open ball around a support point always contains the point, so

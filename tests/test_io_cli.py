@@ -833,8 +833,7 @@ class TestCli:
         # a point whose eigenvalues are paired with the wrong basis columns
         system = random_regular_system(3, 8, 2, np.random.default_rng(87))
         x = system.points[1].op
-        bad = OperatorPoint.__new__(OperatorPoint)
-        bad._build(
+        bad = OperatorPoint._from_factors(
             x.matrix, x.image_basis()[:, ::-1].copy(), x.nonzero_eigenvalues().copy(),
             x.spectral_radius,
         )
