@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import causal, minkowski, reports, spin
-from .core import CausalFermionSystem, OperatorPoint, Tolerances
+from .core import CausalFermionSystem, Tolerances
 from .errors import CfsError, ValidationError
 from .io import read_system, write_system
 from .pairs import PairEngine
@@ -28,30 +28,12 @@ from .pairs import PairEngine
 __all__ = ["main"]
 
 
-def _with_tolerances(system: CausalFermionSystem, args) -> CausalFermionSystem:
-    """Apply the tolerance flags that were given over the file's own block."""
-    names = ("eig_rel", "imag_rel", "zero_abs")
-    given = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
-    tol = dataclasses.replace(system.tolerances, **given)
-    if tol == system.tolerances:
-        return system
-    ops = [e.op for e in system.points]
-    if tol.zero_abs != system.tolerances.zero_abs:
-        # ranks are decided by zero_abs when a point is built
-        ops = [OperatorPoint.with_rank_bound(op.matrix, 2 * system.n, tol) for op in ops]
-    return CausalFermionSystem(
-        system.n,
-        [(e.id, e.weight, op) for e, op in zip(system.points, ops)],
-        tolerances=tol,
-        metadata=system.metadata,
-    )
+_TOLERANCES = tuple(field.name for field in dataclasses.fields(Tolerances))
 
 
-def _add_tol_flags(p: argparse.ArgumentParser):
-    """Tolerance overrides; a flag not given keeps the system file's value."""
-    p.add_argument("--eig-rel", type=float)
-    p.add_argument("--imag-rel", type=float)
-    p.add_argument("--zero-abs", type=float)
+def _load(args) -> CausalFermionSystem:
+    """The --system file, read with the tolerance flags that were given."""
+    return read_system(args.system, **{k: getattr(args, k) for k in _TOLERANCES})
 
 
 def _outdir(args) -> Path:
@@ -112,7 +94,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    system = _with_tolerances(read_system(args.system), args)
+    system = _load(args)
     analysis = PairEngine(system, workers=args.workers).analyze()
     out = _outdir(args)
     text = reports.classification_csv(analysis, include_diagonal=args.include_diagonal)
@@ -121,10 +103,15 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_distance(args) -> int:
-    system = _with_tolerances(read_system(args.system), args)
+def _causal_graph(args):
+    """The --system file, its length scales and its causal graph."""
+    system = _load(args)
     scales = causal.LengthScales(args.lmin, args.lmax)
-    graph = causal.build_causal_graph(system, scales, workers=args.workers)
+    return system, scales, causal.build_causal_graph(system, scales, workers=args.workers)
+
+
+def cmd_distance(args) -> int:
+    system, scales, graph = _causal_graph(args)
     dmat = causal.distance_matrix(graph)
     out = _outdir(args)
     (out / "graph.dot").write_text(reports.dot_graph(graph, system.tolerances))
@@ -142,9 +129,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    system = _with_tolerances(read_system(args.system), args)
-    scales = causal.LengthScales(args.lmin, args.lmax)
-    graph = causal.build_causal_graph(system, scales, workers=args.workers)
+    system, _, graph = _causal_graph(args)
     sets = causal.enumerate_lattice(graph, max_points=args.max_points)
     out = _outdir(args)
     (out / "lattice.json").write_text(
@@ -168,7 +153,7 @@ def _provider_if_minkowski(system):
 
 
 def cmd_connect(args) -> int:
-    system = _with_tolerances(read_system(args.system), args)
+    system = _load(args)
     path = _known_ids(system, args.path.split(","))
     provider = _provider_if_minkowski(system)
     total, records = spin.compose_transport(system, path, provider)
@@ -182,7 +167,7 @@ def cmd_connect(args) -> int:
 
 
 def cmd_holonomy(args) -> int:
-    system = _with_tolerances(read_system(args.system), args)
+    system = _load(args)
     ids = _known_ids(system, args.triangle.split(","))
     if len(ids) != 3:
         raise ValidationError("--triangle needs exactly three ids")
@@ -218,7 +203,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    system = _with_tolerances(read_system(args.system), args)
+    system = _load(args)
     failures = validate_system(system)
     for msg in failures:
         print(f"violation: {msg}")
@@ -270,7 +255,7 @@ def _positive(kind):
         try:
             value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not a {kind.__name__}: {text!r}") from None
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
         if not (math.isfinite(value) and value > 0):
             raise argparse.ArgumentTypeError(f"value must be positive and finite: {text!r}")
         return value
@@ -298,65 +283,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="build a system from a config file")
+    # flag groups shared by several commands
+    system = argparse.ArgumentParser(add_help=False)
+    system.add_argument("--system", required=True)
+    # tolerance overrides; a flag not given keeps the system file's value
+    for name in _TOLERANCES:
+        system.add_argument("--" + name.replace("_", "-"), type=float)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=".")
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument("--workers", type=_positive(int))
+    scales = argparse.ArgumentParser(add_help=False)
+    scales.add_argument("--lmin", type=float, required=True)
+    scales.add_argument("--lmax", type=float, required=True)
+
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, parents=parents, help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("generate", cmd_generate, "build a system from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("classify", help="full causal classification matrix")
-    p.add_argument("--system", required=True)
-    p.add_argument("--out", default=".")
+    p = command(
+        "classify", cmd_classify, "full causal classification matrix", system, out, workers
+    )
     p.add_argument("--include-diagonal", action="store_true")
-    p.add_argument("--workers", type=int, default=None)
-    _add_tol_flags(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("distance", help="causal graph, distances, order")
-    p.add_argument("--system", required=True)
-    p.add_argument("--lmin", type=float, required=True)
-    p.add_argument("--lmax", type=float, required=True)
-    p.add_argument("--out", default=".")
-    p.add_argument("--workers", type=int, default=None)
-    _add_tol_flags(p)
-    p.set_defaults(func=cmd_distance)
-
-    p = sub.add_parser("lattice", help="orthogonality lattice")
-    p.add_argument("--system", required=True)
-    p.add_argument("--lmin", type=float, required=True)
-    p.add_argument("--lmax", type=float, required=True)
-    p.add_argument("--max-points", type=int, default=20)
-    p.add_argument("--out", default=".")
-    p.add_argument("--workers", type=int, default=None)
-    _add_tol_flags(p)
-    p.set_defaults(func=cmd_lattice)
-
-    p = sub.add_parser("connect", help="composed spin connections along a path")
-    p.add_argument("--system", required=True)
+    command(
+        "distance", cmd_distance, "causal graph, distances, order", system, scales, out, workers
+    )
+    p = command("lattice", cmd_lattice, "orthogonality lattice", system, scales, out, workers)
+    p.add_argument("--max-points", type=_positive(int), default=20)
+    p = command("connect", cmd_connect, "composed spin connections along a path", system, out)
     p.add_argument("--path", required=True, help="comma-separated point ids")
-    p.add_argument("--out", default=".")
-    _add_tol_flags(p)
-    p.set_defaults(func=cmd_connect)
-
-    p = sub.add_parser("holonomy", help="spin holonomy around a triangle")
-    p.add_argument("--system", required=True)
+    p = command("holonomy", cmd_holonomy, "spin holonomy around a triangle", system, out)
     p.add_argument("--triangle", required=True, help="three comma-separated ids")
-    p.add_argument("--out", default=".")
-    _add_tol_flags(p)
-    p.set_defaults(func=cmd_holonomy)
-
-    p = sub.add_parser("converge", help="flat-space transport convergence table")
+    p = command("converge", cmd_converge, "flat-space transport convergence table", out)
     p.add_argument("--config", required=True)
     p.add_argument("--eps-list", required=True, type=_positive_list(float))
     p.add_argument("--refine-list", required=True, type=_positive_list(int))
     p.add_argument("--duration", type=_positive(float), default=0.6)
-    p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_converge)
-
-    p = sub.add_parser("validate", help="run the invariant suite on a system")
-    p.add_argument("--system", required=True)
-    _add_tol_flags(p)
-    p.set_defaults(func=cmd_validate)
-
+    command("validate", cmd_validate, "run the invariant suite on a system", system)
     return parser
 
 
@@ -375,10 +342,7 @@ def main(argv=None) -> int:
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except CfsError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except np.linalg.LinAlgError as exc:
+    except (CfsError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     for w in caught:

@@ -92,8 +92,12 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def read_system(path) -> CausalFermionSystem:
+def read_system(path, *, eig_rel=None, imag_rel=None, zero_abs=None) -> CausalFermionSystem:
     """Parse and validate a system file of format version 1 or 2.
+
+    ``eig_rel``, ``imag_rel`` and ``zero_abs``, where not None, replace the
+    file's own tolerances before any point is built: ``zero_abs`` decides
+    every point's rank.
 
     Raises
     ------
@@ -103,6 +107,8 @@ def read_system(path) -> CausalFermionSystem:
         right length, or violated invariants (Hermiticity, finite entries,
         signature bounds, weights).
     """
+    given = {"eig_rel": eig_rel, "imag_rel": imag_rel, "zero_abs": zero_abs}
+    given = {k: v for k, v in given.items() if v is not None}
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -125,8 +131,7 @@ def read_system(path) -> CausalFermionSystem:
         f = int(_require(doc, "f"))
         if n < 1 or f < 1:
             raise ValidationError(f"need n >= 1 and f >= 1, got n={n}, f={f}")
-        tol_doc = doc.get("tolerances", {})
-        tolerances = Tolerances(**tol_doc) if tol_doc else Tolerances()
+        tolerances = Tolerances(**{**(doc.get("tolerances") or {}), **given})
         metadata = doc.get("metadata", {})
         if not isinstance(metadata, dict):
             raise ValidationError("system file metadata must be an object")

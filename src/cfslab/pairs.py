@@ -64,11 +64,12 @@ def resolve_workers(workers=None) -> int:
     env = os.environ.get("CFSLAB_WORKERS")
     if env:
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError:
-            raise ValidationError(
-                f"CFSLAB_WORKERS={env!r} is not an integer worker count"
-            ) from None
+            count = 0
+        if count < 1:
+            raise ValidationError(f"CFSLAB_WORKERS={env!r} is not a positive worker count")
+        return count
     return os.cpu_count() or 1
 
 

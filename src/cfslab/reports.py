@@ -27,9 +27,10 @@ __all__ = [
 ]
 
 
-def fmt(value: float) -> str:
-    """17-significant-digit decimal; infinities as 'inf'."""
-    return "%.17g" % value
+#: 17-significant-digit decimal; infinities as 'inf'.  A bound method
+#: rather than a function, so that mapping it over a matrix's cells adds no
+#: Python call frame per cell.
+fmt = "%.17g".__mod__
 
 
 def _tolerance_header(tol: Tolerances) -> list[str]:
@@ -71,7 +72,7 @@ def distance_csv(ids, dmat: np.ndarray, tol: Tolerances, scales) -> str:
     lines.append(f"# l_max={fmt(scales.l_max)}")
     lines.append("id," + ",".join(ids))
     for pid, row in zip(ids, dmat.tolist()):
-        lines.append(pid + "," + ",".join(map("%.17g".__mod__, row)))
+        lines.append(pid + "," + ",".join(map(fmt, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -105,9 +106,8 @@ def lattice_json(sets, tol: Tolerances) -> str:
 
 
 def _matrix_entries(matrix: np.ndarray) -> list:
-    return [
-        [[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)
-    ]
+    m = np.asarray(matrix)
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def connection_json(records, tol: Tolerances, composite, extras: dict) -> str:

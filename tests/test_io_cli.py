@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfslab.causal import CausalGraph, LengthScales, distance_matrix
-from cfslab.cli import _with_tolerances, build_parser, main, validate_system
-from cfslab import cli, minkowski, pairs
+from cfslab.cli import main, validate_system
+from cfslab import cli, minkowski, pairs, reports
 from cfslab.core import (
     CausalFermionSystem,
     OperatorPoint,
@@ -552,6 +552,32 @@ class TestCli:
         doc = json.loads((out2 / "holonomy.json").read_text())
         assert doc["unitarity"] < 1e-9
 
+    def test_matrix_reports_match_per_entry_form(self, generated, tmp_path, monkeypatch):
+        # connection.json and holonomy.json against the composite written
+        # one [re, im] entry at a time, signed zeros, NaN and inf included
+        def per_entry(matrix):
+            return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
+
+        m = (np.arange(16) / 3 - 1j * np.arange(16) / 7).reshape(4, 4)
+        m[0, 1], m[2, 3] = complex(-0.0, -0.0), complex(np.nan, np.inf)
+        doc = {"tolerances": Tolerances().as_dict(), "segments": [], "composite": per_entry(m)}
+        assert reports.connection_json([], Tolerances(), m, {}) == json.dumps(doc, indent=1) + "\n"
+        assert "[\n    -0.0,\n    -0.0\n   ]" in reports.connection_json([], Tolerances(), m, {})
+        _, _, sys_path = generated
+        argvs = {
+            "connection.json": ["connect", "--path", "p0000,p0001,p0002"],
+            "holonomy.json": ["holonomy", "--triangle", "p0000,p0001,p0002"],
+        }
+        written = {}
+        for form in ("array", "per-entry"):
+            if form == "per-entry":
+                monkeypatch.setattr(reports, "_matrix_entries", per_entry)
+            for name, argv in argvs.items():
+                out = tmp_path / form
+                assert main([*argv, "--system", str(sys_path), "--out", str(out)]) == 0
+                written.setdefault(name, []).append((out / name).read_bytes())
+        assert all(array == entries for array, entries in written.values())
+
     def test_connect_refuses_other_damping_kernels(self, generated, tmp_path, capsys):
         _, _, sys_path = generated
         doc = json.loads(sys_path.read_text())
@@ -642,6 +668,10 @@ class TestCli:
             ({**_SEA, "torus_radius": 1e300}, ["generate"], 1),
             (None, ["connect", "--path", "p0000,zzz"], 1),
             (None, ["holonomy", "--triangle", "p0000,p0001,zzz"], 1),
+            (None, ["classify", "--workers", "-3"], 2),
+            (None, ["distance", "--lmin", "3", "--lmax", "3.5", "--workers", "0"], 2),
+            (None, ["lattice", "--lmin", "3", "--lmax", "3.5", "--max-points", "-1"], 2),
+            (None, ["lattice", "--lmin", "3", "--lmax", "3.5", "--max-points", "0"], 2),
         ],
         ids=[
             "array-config",
@@ -662,6 +692,10 @@ class TestCli:
             "torus-volume-overflow",
             "connect-unknown-id",
             "holonomy-unknown-id",
+            "workers-negative",
+            "workers-zero",
+            "max-points-negative",
+            "max-points-zero",
         ],
     )
     def test_bad_input_fails_in_one_line(self, config, argv, code, generated, tmp_path, capsys):
@@ -676,6 +710,21 @@ class TestCli:
         assert got == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--refine-list", "1e3"], "invalid int value: '1e3'"),
+            (["--refine-list", "2", "--duration", "x"], "invalid float value: 'x'"),
+        ],
+    )
+    def test_bad_number_flag_is_named(self, flag, message, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(_SEA))
+        with pytest.raises(SystemExit) as exc:
+            main(["converge", "--config", str(cfg_path), "--eps-list", "0.001", *flag])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument {flag[-2]}: {message}\n")
 
     def test_overflowing_mode_normalization_names_torus_radius(self, tmp_path, capsys):
         # the torus volume is representable but f times the squared mode
@@ -737,10 +786,12 @@ class TestCli:
 
     def test_zero_abs_flag_decides_ranks(self, tmp_path, capsys):
         # diag(1, -1, 1e-8): rank 3 under the default cutoff, 2 under 1e-6
-        args = build_parser().parse_args(["validate", "--system", "-", "--zero-abs", "1e-6"])
         system = CausalFermionSystem(2, [("a", 1.0, OperatorPoint(np.diag([1.0, -1.0, 1e-8])))])
-        assert system.points[0].op.rank == 3
-        assert _with_tolerances(system, args).points[0].op.rank == 2
+        two = tmp_path / "two.json"
+        write_system(system, two)
+        assert read_system(two).points[0].op.rank == 3
+        read = read_system(two, zero_abs=1e-6)
+        assert read.points[0].op.rank == 2 and read.tolerances == Tolerances(zero_abs=1e-6)
         # a file read with zero_abs=1e-6 fits n=1; the default cutoff counts
         # the third eigenvalue, which exceeds the spin dimension
         one = CausalFermionSystem(
@@ -754,6 +805,29 @@ class TestCli:
         assert main(["validate", "--system", str(path), "--zero-abs", "1e-12"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "exceeding spin dimension" in err
+
+    @pytest.mark.parametrize("command", ["validate", "classify"])
+    def test_zero_abs_flag_rescues_a_file_it_makes_valid(self, command, tmp_path, capsys):
+        # diag(1, -1, 1e-8) with n=1 and the default tolerance block: the
+        # default cutoff counts three eigenvalues, 1e-6 leaves two, which fit
+        system = CausalFermionSystem(2, [("a", 1.0, OperatorPoint(np.diag([1.0, -1.0, 1e-8])))])
+        doc = json.loads(system_to_json(system))
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({**doc, "n": 1}))
+        argv = [command, "--system", str(path)]
+        if command == "classify":
+            argv += ["--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert "exceeding spin dimension n=1" in capsys.readouterr().err
+        assert main([*argv, "--zero-abs", "1e-6"]) == 0
+
+    def test_zero_abs_flag_decomposes_each_point_once(self, tmp_path, eigh_shapes):
+        system = random_regular_system(4, 6, 1, np.random.default_rng(20))
+        path = tmp_path / "system.json"
+        write_system(system, path)
+        eigh_shapes.clear()
+        assert main(["validate", "--system", str(path), "--zero-abs", "1e-10"]) == 0
+        assert eigh_shapes.count((6, 6)) == len(system)
 
     @pytest.mark.parametrize("n, f", [(1, 0), (0, 2), (-1, 2)])
     def test_dimensions_below_one(self, n, f, tmp_path, capsys):

@@ -234,3 +234,12 @@ class TestWorkerResolution:
         monkeypatch.setenv("CFSLAB_WORKERS", "abc")
         with pytest.raises(ValidationError, match="CFSLAB_WORKERS='abc'"):
             resolve_workers(None)
+
+    @pytest.mark.parametrize("env", ["0", "-2"])
+    def test_env_not_positive(self, env, monkeypatch):
+        monkeypatch.setenv("CFSLAB_WORKERS", env)
+        with pytest.raises(ValidationError, match=f"CFSLAB_WORKERS='{env}'"):
+            resolve_workers(None)
+
+    def test_explicit_clamped_to_one(self):
+        assert resolve_workers(0) == resolve_workers(-3) == 1
