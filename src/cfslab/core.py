@@ -146,7 +146,7 @@ _RANGE_SEED = 20110101
 
 def _range_parts(a: np.ndarray, max_rank: int, tol: Tolerances):
     """The parts :func:`_eigh_parts` returns, from a randomized range finder
-    (Halko, Martinsson and Tropp, SIAM Review 53, 2011), or None.
+    (Halko, Martinsson and Tropp, SIAM Review 53, 2011) where it certifies them.
 
     With Q an orthonormal basis of ``A Omega`` for a fixed Gaussian test
     matrix Omega of ``k = max_rank + 4`` columns and ``T = Q^+ A Q``, the
@@ -154,13 +154,13 @@ def _range_parts(a: np.ndarray, max_rank: int, tol: Tolerances):
     the matching one of T padded with f - k zeros (Weyl: ``||R||_2 <=
     ||R||_F``).  The rank decision is the one a full ``eigh`` makes when the
     padding zeros and every Ritz value stay clear of the cut by that bound
-    plus a rounding allowance ``f eps ||A||_F``; otherwise None is returned.
-    So is it below ``f = 4 k``, where the full ``eigh`` costs less.
+    plus a rounding allowance ``f eps ||A||_F``; otherwise ``eigh`` decides,
+    as it does below ``f = 4 k``, where it costs less.
     """
     f = a.shape[0]
     k = max_rank + _OVERSAMPLE
     if f < 4 * k:
-        return None
+        return _eigh_parts(a, tol)
     omega = np.random.default_rng(_RANGE_SEED).standard_normal((f, k))
     # huge entries may overflow below; the check then fails on inf or NaN
     with np.errstate(all="ignore"):
@@ -168,7 +168,7 @@ def _range_parts(a: np.ndarray, max_rank: int, tol: Tolerances):
         t = q.conj().T @ (a @ q)
         t = 0.5 * (t + t.conj().T)
         if not np.isfinite(t).all():
-            return None
+            return _eigh_parts(a, tol)
         theta, s = np.linalg.eigh(t)
         residual = np.linalg.norm(a - (q @ t) @ q.conj().T)
         margin = (1.0 + tol.zero_abs) * residual + f * _EPS * np.linalg.norm(a)
@@ -178,7 +178,7 @@ def _range_parts(a: np.ndarray, max_rank: int, tol: Tolerances):
     cut = _cut(tol, radius)
     clear = margin < cut and bool(np.all(np.abs(np.abs(theta) - cut) > margin))
     if not clear:
-        return None
+        return _eigh_parts(a, tol)
     keep = np.abs(theta) > cut
     return np.ascontiguousarray(q @ s[:, order[keep]]), theta[keep], radius
 
@@ -189,10 +189,12 @@ class OperatorPoint:
     A point keeps its matrix, an orthonormal basis of its image, its nonzero
     eigenvalues in descending order (positives, then negatives) and its
     spectral radius.  Eigenvalues of magnitude at most
-    ``zero_abs * max(1, spectral radius)`` count as zero.  The constructor
-    takes them from a full eigendecomposition (LAPACK ``eigh``,
-    deterministic for fixed input); :meth:`with_rank_bound` does the same
-    for matrices of known small rank without one.
+    ``zero_abs * max(1, spectral radius)`` count as zero.  They come from a
+    full eigendecomposition (LAPACK ``eigh``, deterministic for fixed input),
+    or given a bound ``max_rank`` on the rank from :func:`_range_parts`,
+    whose range finder leaves uncertified ranks to ``eigh``; eigenvalues and
+    the image projector then agree with ``eigh``'s to rounding, but not the
+    basis inside a degenerate eigenspace.
 
     Parameters
     ----------
@@ -200,6 +202,7 @@ class OperatorPoint:
         Finite complex matrix; must equal its conjugate transpose within
         ``1e-12 * ||matrix||_F``.
     tol : Tolerances, optional
+    max_rank : int, optional
     """
 
     __slots__ = (
@@ -213,24 +216,10 @@ class OperatorPoint:
         "_spin",
     )
 
-    def __init__(self, matrix, tol: Tolerances | None = None):
-        a = _hermitian(matrix)
-        self._build(a, *_eigh_parts(a, tol or DEFAULT_TOL))
-
-    @classmethod
-    def with_rank_bound(cls, matrix, max_rank: int, tol: Tolerances | None = None):
-        """The point of ``matrix``, expected to have rank at most ``max_rank``.
-
-        Decides the rank as the constructor does, but for ``f`` well above
-        ``max_rank`` reads the image from a randomized range finder instead
-        of an ``f x f`` eigendecomposition, falling back to the latter
-        whenever the finder cannot certify the rank.  Eigenvalues and the
-        projector onto the image agree with the constructor's to rounding;
-        within a degenerate eigenspace the basis may differ.
-        """
-        tol = tol or DEFAULT_TOL
-        a = _hermitian(matrix)
-        return cls._from_factors(a, *(_range_parts(a, max_rank, tol) or _eigh_parts(a, tol)))
+    def __init__(self, matrix, tol: Tolerances | None = None, *, max_rank: int | None = None):
+        a, tol = _hermitian(matrix), tol or DEFAULT_TOL
+        parts = _eigh_parts(a, tol) if max_rank is None else _range_parts(a, max_rank, tol)
+        self._build(a, *parts)
 
     @classmethod
     def _from_factors(cls, matrix, basis, eigenvalues, radius):

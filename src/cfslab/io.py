@@ -6,15 +6,20 @@ its row-major lower triangle, f(f+1)/2 entries of little-endian complex128
 load.  It is bit-exact by construction.  :func:`write_system` always writes
 version 2.  Version "1" files, whose matrices are lists of [re, im] pairs
 holding either the lower triangle or the full row-major matrix, are still
-read; the reader tells the two layouts apart by the matrix's JSON type.
+read; the reader tells the two layouts apart by the matrix's JSON type.  A
+completed triangle is self-adjoint off the diagonal by construction, so the
+reader checks only what a stored triangle can break (a non-finite entry, a
+diagonal imaginary part), and builds each point with the range finder.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 
-from .core import CausalFermionSystem, OperatorPoint, Tolerances
+from .core import _HERMITICITY_RTOL, CausalFermionSystem, OperatorPoint, Tolerances
+from .core import _hermitian, _range_parts
 from .errors import ValidationError
 
 import numpy as np
@@ -25,12 +30,12 @@ FORMAT_VERSION = "2"
 READ_VERSIONS = ("1", FORMAT_VERSION)
 
 
-def _lower_blob(matrix) -> str:
-    low = matrix[np.tril_indices(matrix.shape[0])].astype("<c16")
-    return base64.b64encode(low.tobytes()).decode("ascii")
+def _lower_blob(matrix, tril) -> str:
+    return base64.b64encode(matrix[tril].astype("<c16").tobytes()).decode("ascii")
 
 
 def _matrix_from_entry(raw, f: int, pid: str) -> np.ndarray:
+    """A point's stored lower triangle, flat, or a version 1 full matrix."""
     n_low = f * (f + 1) // 2
     if isinstance(raw, str):
         data = base64.b64decode(raw, validate=True)
@@ -38,47 +43,78 @@ def _matrix_from_entry(raw, f: int, pid: str) -> np.ndarray:
             raise ValidationError(
                 f"point {pid!r}: matrix blob has {len(data)} bytes, expected {16 * n_low}"
             )
-        low = np.frombuffer(data, dtype="<c16").astype(np.complex128, copy=False)
-    elif isinstance(raw, list):
-        pairs = np.asarray(raw)
-        if pairs.dtype.kind not in "biuf" or pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValidationError(f"point {pid!r}: matrix must be a list of [re, im] pairs")
-        # .view keeps signed zeros, which re + 1j * im would not
-        low = np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[:, 0]
-        if len(low) == f * f:
-            # self-adjointness is judged when the point is built
-            return low.reshape(f, f)
-        if len(low) != n_low:
-            raise ValidationError(
-                f"point {pid!r}: matrix has {len(low)} entries, expected "
-                f"{n_low} (lower triangle) or {f * f} (full)"
-            )
-    else:
+        return np.frombuffer(data, dtype="<c16").astype(np.complex128, copy=False)
+    if not isinstance(raw, list):
         raise ValidationError(
             f"point {pid!r}: matrix must be a base64 string or a list of [re, im] pairs"
         )
-    rows, cols = np.tril_indices(f)
-    m = np.empty((f, f), dtype=np.complex128)
-    # conjugate triangle first, so the diagonal keeps its stored value
-    m[cols, rows] = low.conj()
-    m[rows, cols] = low
+    pairs = np.asarray(raw)
+    if pairs.dtype.kind not in "biuf" or pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValidationError(f"point {pid!r}: matrix must be a list of [re, im] pairs")
+    # .view keeps signed zeros, which re + 1j * im would not
+    low = np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[:, 0]
+    if len(low) == f * f:
+        return low.reshape(f, f)
+    if len(low) != n_low:
+        raise ValidationError(
+            f"point {pid!r}: matrix has {len(low)} entries, expected "
+            f"{n_low} (lower triangle) or {f * f} (full)"
+        )
+    return low
+
+
+def _hermitian_from_triangle(low: np.ndarray, tril) -> np.ndarray:
+    """``core._hermitian`` of the matrix with stored lower triangle ``low``
+    (row-major, at ``tril``) and its conjugate above, bit for bit, from the
+    stored entries: its test on the diagonal's imaginary parts against
+    ``||A||_F``, and its halving as ``0.5 * (x + x)`` on each entry and its
+    conjugate and ``0.5 * (d + conj d)`` on the diagonal.  Entries above
+    2**1022, where ``x + x`` overflows, take ``_hermitian`` itself.
+    """
+    rows, cols = tril
+    diag = np.flatnonzero(rows == cols)
+    m = np.empty((diag.size, diag.size), dtype=np.complex128)
+    s = np.abs(low).max()
+    if not math.isfinite(s):
+        raise ValidationError("matrix has a non-finite entry")
+    if s > 2.0**1022:
+        m[cols, rows] = low.conj()
+        m[rows, cols] = low
+        return _hermitian(m)
+    b = (low.view(np.float64) / (s or 1.0)).view(np.complex128)
+    bd = b[diag]
+    defect2 = 4.0 * np.dot(bd.imag, bd.imag)
+    if defect2 > _HERMITICITY_RTOL**2 * (2.0 * np.vdot(b, b).real - np.vdot(bd, bd).real):
+        raise ValidationError(
+            f"matrix is not self-adjoint: ||A - A*|| = {math.sqrt(defect2) * s:.3e}"
+        )
+    upper = low.conj()
+    lower = 0.5 * (low + low)
+    lower[diag] = 0.5 * (low[diag] + upper[diag])
+    m[cols, rows] = 0.5 * (upper + upper)
+    m[rows, cols] = lower
     return m
 
 
 def system_to_json(system: CausalFermionSystem) -> str:
-    """Serialize a system; deterministic for identical systems."""
+    """Serialize a system; deterministic for identical systems.  The text is
+    ``json.dumps(doc, indent=1) + "\\n"``, but with each base64 blob, which
+    needs no escaping, put in directly."""
     doc = {
         "version": FORMAT_VERSION,
         "n": system.n,
         "f": system.f,
         "tolerances": system.tolerances.as_dict(),
         "metadata": system.metadata,
-        "points": [
-            {"id": e.id, "weight": e.weight, "matrix": _lower_blob(e.op.matrix)}
-            for e in system.points
-        ],
+        "points": None,
     }
-    return json.dumps(doc, indent=1) + "\n"
+    tril = np.tril_indices(system.f)
+    points = ",\n".join(
+        f'  {{\n   "id": {json.dumps(e.id)},\n   "weight": {json.dumps(e.weight)},\n'
+        f'   "matrix": "{_lower_blob(e.op.matrix, tril)}"\n  }}'
+        for e in system.points
+    )
+    return json.dumps(doc, indent=1).removesuffix("null\n}") + f"[\n{points}\n ]\n}}\n"
 
 
 def write_system(system: CausalFermionSystem, path) -> None:
@@ -147,10 +183,13 @@ def read_system(path, *, eig_rel=None, imag_rel=None, zero_abs=None) -> CausalFe
         raise ValidationError("system file has no points")
     # a point has rank at most 2n; the range finder reads its image without
     # an f x f eigendecomposition unless it cannot certify the rank
+    tril = np.tril_indices(f) if any(m.ndim == 1 for _, _, m in entries) else None
     points = []
     for pid, w, m in entries:
         try:
-            points.append((pid, w, OperatorPoint.with_rank_bound(m, 2 * n, tolerances)))
+            a = _hermitian(m) if m.ndim == 2 else _hermitian_from_triangle(m, tril)
+            op = OperatorPoint._from_factors(a, *_range_parts(a, 2 * n, tolerances))
+            points.append((pid, w, op))
         except ValidationError as exc:
             raise ValidationError(f"point {pid!r}: {exc}") from None
     return CausalFermionSystem(n, points, tolerances=tolerances, metadata=metadata)

@@ -265,24 +265,26 @@ def _correlation_matrix(modes: ModeSet, point, eps: float) -> np.ndarray:
 
 
 def _translates(modes: ModeSet, eps: float, coords) -> list[OperatorPoint]:
-    """Local correlation operators at ``coords`` from one eigendecomposition.
+    """Local correlation operators at ``coords`` with no f x f ``eigh``.
 
     The regularized vacuum is translation invariant: with ``a`` the shift
     from the first coordinate, every mode picks up the phase
     ``exp(i (k.a + omega a^0))``, so ``E(p + a) = E(p) D_a`` with ``D_a``
     the diagonal unitary of these phases and ``F(p + a) = D_a^+ F(p) D_a``.
-    The first point is decomposed by :func:`local_correlation`.  Every other
-    point keeps its own matrix, formed and symmetrized exactly as there, and
-    takes the image basis ``D_a^+ B`` and the first point's eigenvalues and
-    spectral radius, so all points share one rank decision.  Eigenvalues
-    and projectors agree with a point's own ``eigh`` to rounding; the basis
-    inside a degenerate eigenspace may differ.
+    The first point is built with ``max_rank=4`` from the certified range
+    finder (``eigh`` where it cannot certify the rank), a second route beside
+    :func:`local_correlation`'s ``eigh``.  Every other point keeps its own
+    matrix, formed and symmetrized exactly as there, and takes the image
+    basis ``D_a^+ B`` and the first point's eigenvalues and spectral radius,
+    so all points share one rank decision.  Eigenvalues and projectors agree
+    with a point's own ``eigh`` to rounding; the basis inside a degenerate
+    eigenspace may differ.
 
     Two callers build their points here: :func:`transport_study`, once per
     regularization length, and ``cfslab generate`` (:func:`_translated_system`),
     once per config, whose files keep only the matrices.
     """
-    first = local_correlation(modes, coords[0], eps)
+    first = OperatorPoint(_correlation_matrix(modes, coords[0], eps), max_rank=4)
     basis, eigs = first.image_basis(), first.nonzero_eigenvalues()
     origin = np.asarray(coords[0], dtype=float)
     points = [first]
@@ -313,8 +315,8 @@ def build_system(
 
 
 def _translated_system(config: MinkowskiConfig) -> CausalFermionSystem:
-    """:func:`build_system`'s system from one eigendecomposition, for
-    ``cfslab generate``.
+    """:func:`build_system`'s system without an f x f eigendecomposition,
+    for ``cfslab generate``.
 
     A file keeps only the matrices, which every point forms and symmetrizes
     as ``build_system`` does, so the bytes written are the same; every point
@@ -533,8 +535,8 @@ def transport_study(
     transport deviations from the identity are recorded.  The mode set
     depends on neither, so it is built once.  Every path starts at the
     origin, and its points are exact time translates of the origin's
-    (:func:`_translates`), so one eigendecomposition per regularization
-    length serves every segment count.
+    (:func:`_translates`), so one decomposition of the origin's point per
+    regularization length, by the range finder, serves every segment count.
 
     The other caller of :func:`_translates` is ``cfslab generate``, which
     writes only the matrices.  :func:`build_system` still decomposes each

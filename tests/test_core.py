@@ -84,15 +84,15 @@ class TestOperatorPoint:
 
 
 class TestRankBound:
-    """``OperatorPoint.with_rank_bound``: the constructor's rank decision
-    without an f x f eigendecomposition."""
+    """``OperatorPoint(matrix, max_rank=...)``: the constructor's rank
+    decision without an f x f eigendecomposition."""
 
     @pytest.mark.parametrize("signature", [(2, 2), (2, 1), (0, 1), (0, 0)])
     def test_agrees_with_constructor(self, signature, eigh_shapes):
         rng = np.random.default_rng(61)
         x = random_point(64, *signature, rng)
         eigh_shapes.clear()
-        y = OperatorPoint.with_rank_bound(x.matrix, 4)
+        y = OperatorPoint(x.matrix, max_rank=4)
         assert (64, 64) not in eigh_shapes
         assert np.array_equal(y.matrix, x.matrix)
         assert (y.pos_eigs, y.neg_eigs) == signature
@@ -106,7 +106,7 @@ class TestRankBound:
         # below f = 4 (2n + 4) the full eigendecomposition is cheaper
         x = random_regular_point(16, 2, np.random.default_rng(62))
         eigh_shapes.clear()
-        y = OperatorPoint.with_rank_bound(x.matrix, 4)
+        y = OperatorPoint(x.matrix, max_rank=4)
         assert eigh_shapes == [(16, 16)]
         assert np.array_equal(y.image_basis(), x.image_basis())
         assert np.array_equal(y.nonzero_eigenvalues(), x.nonzero_eigenvalues())
@@ -118,7 +118,7 @@ class TestRankBound:
         eigh_shapes.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            y = OperatorPoint.with_rank_bound(m, 4)
+            y = OperatorPoint(m, max_rank=4)
         assert eigh_shapes.count((64, 64)) == 1
         assert np.array_equal(y.image_basis(), x.image_basis())
         assert np.array_equal(y.nonzero_eigenvalues(), x.nonzero_eigenvalues())

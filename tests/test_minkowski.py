@@ -323,6 +323,26 @@ class TestTranslates:
         assert validate_system(system) == []
 
 
+    @pytest.mark.parametrize("kmax", [0, 1, 2])
+    def test_first_point_matches_local_correlation(self, kmax, eigh_shapes):
+        # f = 2 at kmax 0 is below 4 (4 + 4) = 32, where the full eigh runs
+        cfg = mk.MinkowskiConfig(kmax=kmax, sample_points=((0, 0, 0, 0),))
+        modes = mk.build_modes(cfg)
+        p = (0.1, 0.2, -0.3, 0.05)
+        eigh_shapes.clear()
+        (x,) = mk._translates(modes, 1e-3, [p])
+        assert eigh_shapes.count((cfg.f, cfg.f)) == (cfg.f < 32)
+        y = mk.local_correlation(modes, p, 1e-3)
+        assert np.array_equal(x.matrix, y.matrix)
+        assert (x.rank, x.pos_eigs, x.neg_eigs) == (y.rank, y.pos_eigs, y.neg_eigs)
+        assert x.rank == min(cfg.f, 4)
+        lx, ly = x.nonzero_eigenvalues(), y.nonzero_eigenvalues()
+        assert np.abs(lx - ly).max() <= 1e-12 * y.spectral_radius
+        assert x.spectral_radius == pytest.approx(y.spectral_radius, rel=1e-12)
+        bx, by = x.image_basis(), y.image_basis()
+        assert np.abs(bx @ bx.conj().T - by @ by.conj().T).max() <= 1e-12
+
+
 class TestTransportStudy:
     def test_one_frame_per_point_and_partner(self, monkeypatch):
         # a 4-segment row needs the coordinate frame at each of its 5 points
@@ -354,12 +374,13 @@ class TestTransportStudy:
         assert len(rows) == 2 and len(built) == 1
         assert mk.transport_study(cfg, [4e-3], []) == []
 
-    def test_one_eigendecomposition_per_eps(self, eigh_shapes):
+    def test_no_full_eigendecomposition(self, eigh_shapes):
+        # each eps decomposes the origin's point by the range finder
         cfg = mk.MinkowskiConfig(
             kmax=1, torus_radius=0.8, sample_points=((0.0, 0.0, 0.0, 0.0),)
         )
         mk.transport_study(cfg, [4e-3, 2e-3], [2, 4])
-        assert eigh_shapes.count((cfg.f, cfg.f)) == 2
+        assert (cfg.f, cfg.f) not in eigh_shapes
 
     def test_rows_match_per_point_systems(self):
         # oracle: every point decomposed on its own, as build_system does
