@@ -36,7 +36,7 @@ class TangentVector:
 
     def __post_init__(self):
         m = _hermitian(self.matrix)
-        if m.shape != self.base.matrix.shape:
+        if m.shape != (self.base.f, self.base.f):
             raise DimensionMismatchError("tangent matrix has the wrong shape")
         object.__setattr__(self, "matrix", m)
 
@@ -77,7 +77,7 @@ def project_tangent(x: OperatorPoint, w) -> TangentVector:
     nothing.
     """
     w = _hermitian(w)
-    if w.shape != x.matrix.shape:
+    if w.shape != (x.f, x.f):
         raise DimensionMismatchError("w has the wrong shape")
     if x.rank == 0:
         raise ValidationError("the base point is singular")

@@ -72,7 +72,10 @@ def ell(x: OperatorPoint, y: OperatorPoint, scales: LengthScales) -> float:
     of :mod:`cfslab.core`, and the arithmetic is that of
     :func:`build_causal_graph`: the weight of an edge between the i-th and
     the j-th point, i < j, is ``ell`` of the pair in that order, to the bit.
-    A vanishing product (infinite nominal length) returns 0.
+    The other order is not mirrored: the spectra of ``xy`` and ``yx`` agree
+    only to rounding, so ``ell(y, x)`` may differ from ``ell(x, y)``, and
+    from that edge weight, in the last bits.  A vanishing product (infinite
+    nominal length) returns 0.
     """
     return float(_lengths(np.asarray(_pair(x, y)[4]), scales))
 
@@ -321,10 +324,11 @@ def tangent_cone_histogram(
     x = system.point(x_id)
     bx = x.image_basis()
     lam = x.nonzero_eigenvalues()
+    xm = x.matrix
     masses = np.zeros(len(bins))
     total = 0.0
     for entry in system.points:
-        diff = entry.op.matrix - x.matrix
+        diff = entry.op.matrix - xm
         if np.linalg.norm(diff, ord=2) >= delta:
             continue
         total += entry.weight

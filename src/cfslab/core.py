@@ -122,6 +122,13 @@ def _hermitian(matrix) -> np.ndarray:
     return a + a.conj().T
 
 
+def _wave_product(psi, form) -> np.ndarray:
+    """The matrix ``-psi^+ form psi`` of a generated point, before the
+    constructor's symmetrization.  A matrix product, not a sign flip of the
+    entries: the signed zeros it leaves are the bits of a generated file."""
+    return -(psi.conj().T @ (form @ psi))
+
+
 def _cut(tol: Tolerances, radius: float) -> float:
     """Largest eigenvalue modulus that counts as zero."""
     return tol.zero_abs * max(1.0, radius)
@@ -184,17 +191,26 @@ def _range_parts(a: np.ndarray, max_rank: int, tol: Tolerances):
 
 
 class OperatorPoint:
-    """A self-adjoint finite-rank operator given as a dense matrix.
+    """A self-adjoint finite-rank operator, given as a dense matrix or, for a
+    generated point, by a wave evaluation.
 
-    A point keeps its matrix, an orthonormal basis of its image, its nonzero
-    eigenvalues in descending order (positives, then negatives) and its
-    spectral radius.  Eigenvalues of magnitude at most
-    ``zero_abs * max(1, spectral radius)`` count as zero.  They come from a
-    full eigendecomposition (LAPACK ``eigh``, deterministic for fixed input),
-    or given a bound ``max_rank`` on the rank from :func:`_range_parts`,
-    whose range finder leaves uncertified ranks to ``eigh``; eigenvalues and
-    the image projector then agree with ``eigh``'s to rounding, but not the
-    basis inside a degenerate eigenspace.
+    A point keeps an orthonormal basis of its image, its nonzero eigenvalues
+    in descending order (positives, then negatives) and its spectral radius.
+    Eigenvalues of magnitude at most ``zero_abs * max(1, spectral radius)``
+    count as zero.  They come from a full eigendecomposition (LAPACK
+    ``eigh``, deterministic for fixed input), or given a bound ``max_rank``
+    on the rank from :func:`_range_parts`, whose range finder leaves
+    uncertified ranks to ``eigh``; eigenvalues and the image projector then
+    agree with ``eigh``'s to rounding, but not the basis inside a degenerate
+    eigenspace.
+
+    A point built from a matrix keeps that matrix.  A generated point
+    (:meth:`_from_waves`) keeps instead its wave evaluation ``psi`` (r x f)
+    and the r x r spin form ``S`` of the operator ``-psi^+ S psi``, and
+    :attr:`matrix` forms that operator on each access, caching nothing, to
+    the bits the constructor decomposed.  Its arrays then take ``16 (f rank
+    + r f)`` bytes, against ``16 (f^2 + f rank)`` for a matrix point: with
+    r = rank = 4 at f = 250, 32 kB against 1 MB.
 
     Parameters
     ----------
@@ -206,7 +222,8 @@ class OperatorPoint:
     """
 
     __slots__ = (
-        "matrix",
+        "_matrix",
+        "_waves",
         "spectral_radius",
         "rank",
         "pos_eigs",
@@ -222,20 +239,43 @@ class OperatorPoint:
         self._build(a, *parts)
 
     @classmethod
-    def _from_factors(cls, matrix, basis, eigenvalues, radius):
+    def _from_factors(cls, matrix, basis, eigenvalues, radius, waves=None):
         """The point of a Hermitian matrix whose factors are already known,
         taken as they are; see :meth:`_build`."""
         x = cls.__new__(cls)
-        x._build(matrix, basis, eigenvalues, radius)
+        x._build(matrix, basis, eigenvalues, radius, waves)
         return x
 
-    def _build(self, matrix, basis, eigenvalues, radius):
+    @classmethod
+    def _from_waves(cls, waves, form, max_rank: int | None = None) -> list:
+        """The generated points ``-psi^+ form psi``, one per ``psi`` of the
+        iterable ``waves``: the constructor decomposes each matrix, and the
+        point then holds ``psi`` and ``form`` in its place.
+
+        Each matrix is freed only after the next point is built.  Freed at
+        once, a point's last f x f array lets the allocator return all the
+        decomposition's scratch memory to the system, and the next point
+        faults it in again: at f = 250, about 1,700 more page faults and
+        2-3 ms more per point (glibc, 2-vCPU x86-64 virtual machine).
+        """
+        points, held = [], None
+        for psi in waves:
+            x = cls(_wave_product(psi, form), max_rank=max_rank)
+            held, x._matrix, x._waves = x._matrix, None, (psi, form)
+            points.append(x)
+        del held
+        return points
+
+    def _build(self, matrix, basis, eigenvalues, radius, waves=None):
         """The one constructor: a Hermitian matrix, the f x rank orthonormal
         basis of its image, the nonzero eigenvalues in descending order and
-        the spectral radius.  The arrays are made read-only."""
+        the spectral radius; a generated point gives ``None`` for the matrix
+        and the ``(psi, form)`` it is formed from.  The factor arrays are
+        made read-only."""
         basis.flags.writeable = False
         eigenvalues.flags.writeable = False
-        self.matrix = matrix
+        self._matrix = matrix
+        self._waves = waves
         self._basis = basis
         self._eigenvalues = eigenvalues
         self.spectral_radius = radius
@@ -245,9 +285,25 @@ class OperatorPoint:
         self._spin = None
 
     @property
+    def matrix(self) -> np.ndarray:
+        """The Hermitian matrix; a generated point forms it anew on each
+        access."""
+        if self._waves is None:
+            return self._matrix
+        return _hermitian(_wave_product(*self._waves))
+
+    @property
     def f(self) -> int:
         """Dimension of the ambient Hilbert space."""
-        return self.matrix.shape[0]
+        return self._basis.shape[0]
+
+    def _same(self, other: "OperatorPoint") -> bool:
+        """True when the two matrices are known to be equal: two generated
+        points compare their wave evaluations and forms, which fix the
+        matrix, and any other pair compares matrices."""
+        if self._waves is not None and other._waves is not None:
+            return all(np.array_equal(a, b) for a, b in zip(self._waves, other._waves))
+        return np.array_equal(self.matrix, other.matrix)
 
     def is_regular(self, n: int) -> bool:
         """True iff the point has the maximal rank ``2 n``."""
@@ -504,15 +560,16 @@ def _pair_block(g, lx, ly, tol: Tolerances):
 
 def _pair(x: OperatorPoint, y: OperatorPoint, n: int | None = None, tol=None):
     """:func:`_pair_block`'s outputs for the one pair ``(x, y)``, with ``n``
-    defaulting as in :func:`classify`; two equal matrices get an exact zero
-    time direction and orientation."""
+    defaulting as in :func:`classify`; two points with equal matrices (two
+    generated points: equal wave evaluations) get an exact zero time
+    direction and orientation."""
     if x.f != y.f:
         raise DimensionMismatchError(f"points live on f={x.f} and f={y.f}")
     if n is None:
         n = max(x.pos_eigs, x.neg_eigs, y.pos_eigs, y.neg_eigs, 1)
     bases, lams = _padded_factors((x, y), n)
     out = _pair_block(_overlaps(bases, 0, 1, 1, 2)[0], lams[:1], lams[1:], tol or DEFAULT_TOL)
-    if x is y or np.array_equal(x.matrix, y.matrix):
+    if x is y or x._same(y):
         out[2][:] = out[3][:] = 0
     return [part[0] for part in out]
 
@@ -565,22 +622,28 @@ def classify(
     return _CLASSES[_pair(x, y, n, tol)[1]]
 
 
-def time_direction(x: OperatorPoint, y: OperatorPoint) -> float:
+def time_direction(x: OperatorPoint, y: OperatorPoint, n: int | None = None) -> float:
     """Time-direction functional ``i tr(y x pi_y pi_x - x y pi_x pi_y)``.
 
     Positive values mean ``y`` lies in the future of ``x``; the functional is
     antisymmetric and vanishes identically on the diagonal (returned as an
-    exact ``0.0`` when the two matrices coincide).
+    exact ``0.0`` when the two matrices coincide).  ``n`` fixes the ``2 n``
+    slots as in :func:`classify`; given a system's ``n``, the value is the
+    one :class:`cfslab.pairs.PairEngine` computes for the pair, to the bit.
     """
-    return float(_pair(x, y)[3])
+    return float(_pair(x, y, n)[3])
 
 
 def time_orientation(
-    x: OperatorPoint, y: OperatorPoint, tol: Tolerances | None = None
+    x: OperatorPoint,
+    y: OperatorPoint,
+    tol: Tolerances | None = None,
+    n: int | None = None,
 ) -> int:
     """Sign of the time direction: +1 future, -1 past, 0 undirected.
 
     Values within ``imag_rel * ||x|| * ||y||`` of zero are reported as
-    undirected rather than forced into future or past.
+    undirected rather than forced into future or past.  ``n`` is as in
+    :func:`time_direction`.
     """
-    return int(_pair(x, y, tol=tol)[2])
+    return int(_pair(x, y, n, tol)[2])

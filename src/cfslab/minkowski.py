@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CausalFermionSystem, OperatorPoint, Tolerances, _hermitian
+from .core import CausalFermionSystem, OperatorPoint, Tolerances
 from .errors import DimensionMismatchError, ValidationError
 from .spin import CliffordSubspace, verify_clifford
 
@@ -254,14 +254,14 @@ def local_correlation(modes: ModeSet, point, eps: float) -> OperatorPoint:
     the operator is ``-E^+ Sigma E`` where Sigma is the spinor inner-product
     matrix; it has rank at most four with at most two positive and two
     negative eigenvalues.
+
+    The point is a generated one: it holds E (4 x f) and Sigma, not the f x f
+    matrix, which exists only while ``eigh`` decomposes it; ``matrix`` forms
+    it anew on each access, to the same bits.  With its f x 4 image basis
+    the point holds ``16 (4 f + 4 f)`` bytes of arrays (32 kB at f = 250)
+    where a matrix point holds ``16 (f^2 + 4 f)`` (1 MB).
     """
-    return OperatorPoint(_correlation_matrix(modes, point, eps))
-
-
-def _correlation_matrix(modes: ModeSet, point, eps: float) -> np.ndarray:
-    """The matrix ``-E^+ Sigma E`` of :func:`local_correlation`."""
-    e = evaluation_matrix(modes, point, eps)
-    return -(e.conj().T @ (_GAMMA0 @ e))
+    return OperatorPoint._from_waves([evaluation_matrix(modes, point, eps)], _GAMMA0)[0]
 
 
 def _translates(modes: ModeSet, eps: float, coords) -> list[OperatorPoint]:
@@ -273,18 +273,25 @@ def _translates(modes: ModeSet, eps: float, coords) -> list[OperatorPoint]:
     the diagonal unitary of these phases and ``F(p + a) = D_a^+ F(p) D_a``.
     The first point is built with ``max_rank=4`` from the certified range
     finder (``eigh`` where it cannot certify the rank), a second route beside
-    :func:`local_correlation`'s ``eigh``.  Every other point keeps its own
-    matrix, formed and symmetrized exactly as there, and takes the image
+    :func:`local_correlation`'s ``eigh``.  Every other point takes the image
     basis ``D_a^+ B`` and the first point's eigenvalues and spectral radius,
-    so all points share one rank decision.  Eigenvalues and projectors agree
-    with a point's own ``eigh`` to rounding; the basis inside a degenerate
-    eigenspace may differ.
+    so all points share one rank decision, and never forms its matrix.
+    Eigenvalues and projectors agree with a point's own ``eigh`` to rounding;
+    the basis inside a degenerate eigenspace may differ.
+
+    Every point is a generated one, as in :func:`local_correlation`: it
+    holds its own evaluation matrix E (4 x f), and ``matrix`` forms
+    ``-E^+ Sigma E`` on each access, to the bits ``local_correlation``'s
+    point gives; ``16 (4 f + 4 f)`` bytes of arrays per point against
+    ``16 (f^2 + 4 f)`` for a matrix point.
 
     Two callers build their points here: :func:`transport_study`, once per
     regularization length, and ``cfslab generate`` (:func:`_translated_system`),
     once per config, whose files keep only the matrices.
     """
-    first = OperatorPoint(_correlation_matrix(modes, coords[0], eps), max_rank=4)
+    (first,) = OperatorPoint._from_waves(
+        [evaluation_matrix(modes, coords[0], eps)], _GAMMA0, max_rank=4
+    )
     basis, eigs = first.image_basis(), first.nonzero_eigenvalues()
     origin = np.asarray(coords[0], dtype=float)
     points = [first]
@@ -292,10 +299,11 @@ def _translates(modes: ModeSet, eps: float, coords) -> list[OperatorPoint]:
         a = np.asarray(p, dtype=float) - origin
         phase = np.exp(1j * (modes.momenta @ a[1:] + modes.omegas * a[0]))
         points.append(OperatorPoint._from_factors(
-            _hermitian(_correlation_matrix(modes, p, eps)),
+            None,
             np.conj(phase)[:, None] * basis,
             eigs,
             first.spectral_radius,
+            (evaluation_matrix(modes, p, eps), _GAMMA0),
         ))
     return points
 
@@ -307,7 +315,8 @@ def build_system(
 
     Point ids are ``p0000, p0001, ...`` in sample order; the coordinates and
     generator parameters are kept in the metadata so that reports and the
-    Clifford-frame constructor can refer back to them.
+    Clifford-frame constructor can refer back to them.  The points are
+    generated ones (:func:`local_correlation`), holding no f x f array.
     """
     if not config.sample_points:
         raise ValidationError("config has no sample points")
@@ -319,10 +328,12 @@ def _translated_system(config: MinkowskiConfig) -> CausalFermionSystem:
     for ``cfslab generate``.
 
     A file keeps only the matrices, which every point forms and symmetrizes
-    as ``build_system`` does, so the bytes written are the same; every point
+    as ``build_system``'s do, so the bytes written are the same; every point
     after the first takes its image basis as a translate of the first's
-    (:func:`_translates`) instead of from its own ``eigh``.  This path goes
-    away once ``build_system`` itself builds from translates.
+    (:func:`_translates`) instead of from its own ``eigh``.  The points are
+    generated ones, each holding its 4 x f evaluation matrix, and the writer
+    forms each f x f matrix when it writes that point.  This path goes away
+    once ``build_system`` itself builds from translates.
     """
     if not config.sample_points:
         raise ValidationError("config has no sample points")
@@ -333,9 +344,10 @@ def _translated_system(config: MinkowskiConfig) -> CausalFermionSystem:
 
 def _build_system(config, modes: ModeSet, tolerances=None, ops=None) -> CausalFermionSystem:
     """The system of ``config``; ``ops`` are its points in sample order,
-    each decomposed by :func:`local_correlation` when not given."""
+    each decomposed as by :func:`local_correlation` when not given."""
     if ops is None:
-        ops = [local_correlation(modes, p, config.eps) for p in config.sample_points]
+        waves = (evaluation_matrix(modes, p, config.eps) for p in config.sample_points)
+        ops = OperatorPoint._from_waves(waves, _GAMMA0)
     weights = config.weights or tuple(1.0 for _ in config.sample_points)
     points = []
     coords = {}

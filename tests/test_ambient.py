@@ -133,6 +133,26 @@ class TestProjection:
         twice = project_tangent(x, once.matrix)
         assert np.linalg.norm(once.matrix - twice.matrix) < 1e-12
 
+    def test_generated_base_matrix_not_formed(self, monkeypatch):
+        # the shape checks read f; only a generated point's matrix is formed
+        from cfslab import core
+        from cfslab import minkowski as mk
+
+        cfg = mk.MinkowskiConfig(kmax=1, sample_points=((0, 0, 0, 0),))
+        x = mk.local_correlation(mk.build_modes(cfg), (0.1, 0.2, 0.0, -0.1), 1e-3)
+        w = np.eye(x.f)
+
+        def refuse(*args):
+            raise AssertionError("matrix formed")
+
+        monkeypatch.setattr(core, "_wave_product", refuse)
+        u = project_tangent(x, w)
+        assert TangentVector(x, u.matrix).matrix.shape == (x.f, x.f)
+        with pytest.raises(DimensionMismatchError):
+            project_tangent(x, np.eye(x.f + 1))
+        with pytest.raises(DimensionMismatchError):
+            TangentVector(x, np.eye(x.f - 1))
+
     def test_rejects_non_selfadjoint(self):
         x = random_regular_point(6, 1, np.random.default_rng(68))
         with pytest.raises(ValidationError):

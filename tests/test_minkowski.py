@@ -7,9 +7,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cfslab import core
 from cfslab import minkowski as mk
 from cfslab.cli import validate_system
-from cfslab.core import CausalFermionSystem
+from cfslab.core import (
+    CausalFermionSystem,
+    _hermitian,
+    time_direction,
+    time_orientation,
+)
 from cfslab.errors import DimensionMismatchError, ValidationError
 
 
@@ -341,6 +347,70 @@ class TestTranslates:
         assert x.spectral_radius == pytest.approx(y.spectral_radius, rel=1e-12)
         bx, by = x.image_basis(), y.image_basis()
         assert np.abs(bx @ bx.conj().T - by @ by.conj().T).max() <= 1e-12
+
+
+def _held_arrays(x):
+    """Every array a point holds, in its slots and the tuples there."""
+    for name in type(x).__slots__:
+        value = getattr(x, name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                yield item
+
+
+def _dense_matrix(modes, p, eps):
+    """A local correlation matrix as a point built from that matrix stores
+    it: ``-E^+ Sigma E``, symmetrized by the point constructor."""
+    e = mk.evaluation_matrix(modes, p, eps)
+    return _hermitian(-(e.conj().T @ (mk.GAMMA[0] @ e)))
+
+
+class TestGeneratedPoints:
+    # the origin's phases are exact ones, so its matrix has signed zeros
+    COORDS = (
+        (0.0, 0.0, 0.0, 0.0),
+        (0.1, 0.2, -0.3, 0.05),
+        (0.25, 0.2, -0.3, 0.05),
+        (-0.4, -0.3, 0.5, 0.2),
+    )
+
+    def test_hold_no_f_by_f_array(self):
+        cfg = mk.MinkowskiConfig(kmax=2, torus_radius=0.8, sample_points=self.COORDS[:3])
+        for system in (mk.build_system(cfg), mk._translated_system(cfg)):
+            for e in system.points:
+                sizes = [a.size for a in _held_arrays(e.op)]
+                assert sizes and max(sizes) < cfg.f**2
+                assert e.op.f == cfg.f and e.op.matrix.shape == (cfg.f, cfg.f)
+
+    @pytest.mark.parametrize("kmax", [0, 1, 2])
+    def test_matrix_bytes_unchanged(self, kmax):
+        cfg = mk.MinkowskiConfig(kmax=kmax, torus_radius=0.8, sample_points=self.COORDS)
+        modes = mk.build_modes(cfg)
+        want = [_dense_matrix(modes, p, cfg.eps).tobytes() for p in self.COORDS]
+        built = {
+            "local_correlation": [mk.local_correlation(modes, p, cfg.eps) for p in self.COORDS],
+            "build_system": [e.op for e in mk.build_system(cfg).points],
+            "_translates": mk._translates(modes, cfg.eps, self.COORDS),
+        }
+        for ops in built.values():
+            assert [x.matrix.tobytes() for x in ops] == want
+            # formed anew on each access, with the same bits
+            assert ops[1].matrix is not ops[1].matrix
+            assert ops[1].matrix.tobytes() == want[1]
+
+    def test_equal_points_compare_waves(self, monkeypatch):
+        cfg = mk.MinkowskiConfig(kmax=1, sample_points=((0, 0, 0, 0),))
+        modes = mk.build_modes(cfg)
+        x, y = (mk.local_correlation(modes, self.COORDS[1], 1e-3) for _ in range(2))
+        z = mk.local_correlation(modes, self.COORDS[2], 1e-3)
+
+        def refuse(*args):
+            raise AssertionError("matrix formed")
+
+        monkeypatch.setattr(core, "_wave_product", refuse)
+        assert x is not y
+        assert time_direction(x, y) == 0.0 and time_orientation(x, y) == 0
+        assert time_direction(x, z) != 0.0
 
 
 class TestTransportStudy:
