@@ -224,10 +224,10 @@ def validate_system(system: CausalFermionSystem) -> list[str]:
     failures = []
     for e in system.points:
         op = e.op
-        b = op.image_basis()
-        defect = np.linalg.norm(op.matrix - (b * op.nonzero_eigenvalues()) @ b.conj().T)
+        b, m = op.image_basis(), op.matrix
+        defect = np.linalg.norm(m - (b * op.nonzero_eigenvalues()) @ b.conj().T)
         cut = system.tolerances.zero_abs * max(1.0, op.spectral_radius)
-        if not defect <= cut * np.sqrt(op.f) + 1e-12 * np.linalg.norm(op.matrix):
+        if not defect <= cut * np.sqrt(op.f) + 1e-12 * np.linalg.norm(m):
             failures.append(
                 f"point {e.id}: image basis and eigenvalues miss the matrix ({defect:.3e})"
             )

@@ -292,6 +292,20 @@ class OperatorPoint:
             return self._matrix
         return _hermitian(_wave_product(*self._waves))
 
+    def _tril(self, tril) -> np.ndarray:
+        """``matrix[tril]``, to the bit.  A generated point forms only its
+        product and halves the entries at ``tril`` with their mirrors as
+        :func:`_hermitian` does, which checked that product when the point
+        was built; it falls back on ``_hermitian`` where that would halve
+        differently (an entry above 2**1022) or refuse (a NaN)."""
+        if self._waves is None:
+            return self._matrix[tril]
+        m = _wave_product(*self._waves)
+        low, up = m[tril], m.T[tril].conj()
+        if not np.maximum(np.abs(low).max(), np.abs(up).max()) <= 2.0**1022:
+            return _hermitian(m)[tril]
+        return 0.5 * (low + up)
+
     @property
     def f(self) -> int:
         """Dimension of the ambient Hilbert space."""
@@ -622,28 +636,22 @@ def classify(
     return _CLASSES[_pair(x, y, n, tol)[1]]
 
 
-def time_direction(x: OperatorPoint, y: OperatorPoint, n: int | None = None) -> float:
+def time_direction(x: OperatorPoint, y: OperatorPoint) -> float:
     """Time-direction functional ``i tr(y x pi_y pi_x - x y pi_x pi_y)``.
 
     Positive values mean ``y`` lies in the future of ``x``; the functional is
     antisymmetric and vanishes identically on the diagonal (returned as an
-    exact ``0.0`` when the two matrices coincide).  ``n`` fixes the ``2 n``
-    slots as in :func:`classify`; given a system's ``n``, the value is the
-    one :class:`cfslab.pairs.PairEngine` computes for the pair, to the bit.
+    exact ``0.0`` when the two matrices coincide).
     """
-    return float(_pair(x, y, n)[3])
+    return float(_pair(x, y)[3])
 
 
 def time_orientation(
-    x: OperatorPoint,
-    y: OperatorPoint,
-    tol: Tolerances | None = None,
-    n: int | None = None,
+    x: OperatorPoint, y: OperatorPoint, tol: Tolerances | None = None
 ) -> int:
     """Sign of the time direction: +1 future, -1 past, 0 undirected.
 
     Values within ``imag_rel * ||x|| * ||y||`` of zero are reported as
-    undirected rather than forced into future or past.  ``n`` is as in
-    :func:`time_direction`.
+    undirected rather than forced into future or past.
     """
-    return int(_pair(x, y, n, tol)[2])
+    return int(_pair(x, y, tol=tol)[2])

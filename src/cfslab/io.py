@@ -30,8 +30,8 @@ FORMAT_VERSION = "2"
 READ_VERSIONS = ("1", FORMAT_VERSION)
 
 
-def _lower_blob(matrix, tril) -> str:
-    return base64.b64encode(matrix[tril].astype("<c16").tobytes()).decode("ascii")
+def _lower_blob(op: OperatorPoint, tril) -> str:
+    return base64.b64encode(op._tril(tril).astype("<c16").tobytes()).decode("ascii")
 
 
 def _matrix_from_entry(raw, f: int, pid: str) -> np.ndarray:
@@ -88,11 +88,17 @@ def _hermitian_from_triangle(low: np.ndarray, tril) -> np.ndarray:
         raise ValidationError(
             f"matrix is not self-adjoint: ||A - A*|| = {math.sqrt(defect2) * s:.3e}"
         )
-    upper = low.conj()
-    lower = 0.5 * (low + low)
-    lower[diag] = 0.5 * (low[diag] + upper[diag])
-    m[cols, rows] = 0.5 * (upper + upper)
-    m[rows, cols] = lower
+    # in place, one triangle-sized array at a time: x *= 0.5 has the bits of
+    # 0.5 * x
+    half = low.conj()
+    d = 0.5 * (low[diag] + half[diag])
+    half += half
+    half *= 0.5
+    m[cols, rows] = half
+    np.add(low, low, out=half)
+    half *= 0.5
+    half[diag] = d
+    m[rows, cols] = half
     return m
 
 
@@ -111,7 +117,7 @@ def system_to_json(system: CausalFermionSystem) -> str:
     tril = np.tril_indices(system.f)
     points = ",\n".join(
         f'  {{\n   "id": {json.dumps(e.id)},\n   "weight": {json.dumps(e.weight)},\n'
-        f'   "matrix": "{_lower_blob(e.op.matrix, tril)}"\n  }}'
+        f'   "matrix": "{_lower_blob(e.op, tril)}"\n  }}'
         for e in system.points
     )
     return json.dumps(doc, indent=1).removesuffix("null\n}") + f"[\n{points}\n ]\n}}\n"
@@ -179,13 +185,16 @@ def read_system(path, *, eig_rel=None, imag_rel=None, zero_abs=None) -> CausalFe
             entries.append((pid, weight, matrix))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed system file: {exc}") from None
+    del doc  # the decoded triangles replace its text before any point is built
     if not entries:
         raise ValidationError("system file has no points")
     # a point has rank at most 2n; the range finder reads its image without
     # an f x f eigendecomposition unless it cannot certify the rank
     tril = np.tril_indices(f) if any(m.ndim == 1 for _, _, m in entries) else None
     points = []
-    for pid, w, m in entries:
+    entries.reverse()  # popped in file order, each triangle freed once built
+    while entries:
+        pid, w, m = entries.pop()
         try:
             a = _hermitian(m) if m.ndim == 2 else _hermitian_from_triangle(m, tril)
             op = OperatorPoint._from_factors(a, *_range_parts(a, 2 * n, tolerances))

@@ -332,7 +332,8 @@ def _translated_system(config: MinkowskiConfig) -> CausalFermionSystem:
     after the first takes its image basis as a translate of the first's
     (:func:`_translates`) instead of from its own ``eigh``.  The points are
     generated ones, each holding its 4 x f evaluation matrix, and the writer
-    forms each f x f matrix when it writes that point.  This path goes away
+    forms each point's product, not its symmetrized matrix, when it writes
+    that point's triangle (``OperatorPoint._tril``).  This path goes away
     once ``build_system`` itself builds from translates.
     """
     if not config.sample_points:

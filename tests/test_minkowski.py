@@ -1,6 +1,8 @@
 """Dirac-sea systems on the torus: modes, correlation operators, mixtures."""
 
+import base64
 import itertools
+import json
 import math
 from dataclasses import replace
 
@@ -12,11 +14,13 @@ from cfslab import minkowski as mk
 from cfslab.cli import validate_system
 from cfslab.core import (
     CausalFermionSystem,
+    OperatorPoint,
     _hermitian,
     time_direction,
     time_orientation,
 )
 from cfslab.errors import DimensionMismatchError, ValidationError
+from cfslab.io import system_to_json
 
 
 def cauchy_gram(modes):
@@ -411,6 +415,41 @@ class TestGeneratedPoints:
         assert x is not y
         assert time_direction(x, y) == 0.0 and time_orientation(x, y) == 0
         assert time_direction(x, z) != 0.0
+
+    @pytest.mark.parametrize("kmax", [0, 2])
+    def test_written_and_validated_from_one_product_each(self, kmax, monkeypatch):
+        # the writer halves only the stored triangle's entries with their
+        # mirrors, to the bits of the matrix; neither it nor validate_system
+        # forms a point's product twice
+        cfg = mk.MinkowskiConfig(kmax=kmax, torus_radius=0.8, sample_points=self.COORDS)
+        system = mk.build_system(cfg)
+        tril = np.tril_indices(cfg.f)
+        want = [
+            base64.b64encode(e.op.matrix[tril].astype("<c16").tobytes()).decode("ascii")
+            for e in system.points
+        ]
+        calls = []
+        product = core._wave_product
+        monkeypatch.setattr(core, "_wave_product", lambda *a: calls.append(a) or product(*a))
+        with monkeypatch.context() as m:
+            m.setattr(core, "_hermitian", None)  # the full matrix is never symmetrized
+            doc = json.loads(system_to_json(system))
+        assert [p["matrix"] for p in doc["points"]] == want
+        assert len(calls) == len(system)
+        calls.clear()
+        assert validate_system(system) == []
+        assert len(calls) == len(system)
+
+    def test_written_triangle_of_huge_entries(self):
+        # above 2**1022 the constructor halves before it adds; the writer
+        # then symmetrizes the whole matrix as the constructor does
+        rng = np.random.default_rng(1)
+        psi = rng.normal(size=(4, 12)) + 1j * rng.normal(size=(4, 12))
+        psi[0, 0] = 1.5 * 2.0**511
+        (x,) = OperatorPoint._from_waves([psi], mk.GAMMA[0])
+        tril = np.tril_indices(12)
+        assert np.abs(x.matrix).max() > 2.0**1022
+        assert x._tril(tril).tobytes() == x.matrix[tril].tobytes()
 
 
 class TestTransportStudy:

@@ -153,18 +153,6 @@ class TestEngineAgainstCore:
                 else:
                     assert res.specrad[i, j] == pytest.approx(sr, rel=1e-9, abs=1e-300)
 
-    def test_per_pair_time_functions_take_the_system_n(self):
-        # padded to the smallest n admitting both points, 90 of these 780
-        # upper pairs differ from the engine in the last bits
-        rng = np.random.default_rng(95)
-        system = mixed_rank_system(40, 6, 2, rng)
-        res = PairEngine(system, workers=2).analyze()
-        tol, ops = system.tolerances, [e.op for e in system.points]
-        for i, j in zip(*np.triu_indices(len(ops), 1)):
-            x, y = ops[i], ops[j]
-            assert time_direction(x, y, n=system.n) == res.cvals[i, j]
-            assert time_orientation(x, y, tol, n=system.n) == res.orientation[i, j]
-
     def test_each_computed_pair_is_kept(self, monkeypatch):
         # 40 points span a full and a partial diagonal tile: analyze solves
         # each unordered pair, self pairs included, once, and both_orders
