@@ -515,9 +515,10 @@ def _transport_deviations(system, modes: ModeSet, path_ids) -> dict:
     coords = _coordinates(system)
     iota = _isometry(system, modes, coords, path_ids[-1])[0]
     mapped = iota @ total @ _isometry(system, modes, coords, path_ids[0])[1]
-    # min over |c| = 1 of |T - c 1|^2 is |T|^2 + dim - 2 |tr T|
-    sq = float(np.linalg.norm(mapped)) ** 2 + mapped.shape[0]
-    spin_dev = math.sqrt(max(sq - 2.0 * abs(complex(np.trace(mapped))), 0.0))
+    # the nearest unitary multiple of the identity is c 1 with c = tr T / |tr T|
+    tr = complex(np.trace(mapped))
+    phase = tr / abs(tr) if tr else 1.0
+    spin_dev = float(np.linalg.norm(mapped - phase * np.eye(mapped.shape[0])))
     worst = max((r["unitarity"] for r in records), default=0.0)
     comp = np.eye(4)
     for y_id, x_id in zip(path_ids, path_ids[1:]):

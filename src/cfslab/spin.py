@@ -311,14 +311,6 @@ class CliffordSubspace:
         return _eta_frame(self)
 
 
-def _anticommutator_scalar(u, v):
-    """Coefficient c with {u, v} = 2 c * identity, plus the residual matrix."""
-    anti = u @ v + v @ u
-    r = anti.shape[0]
-    c = np.trace(anti) / (2.0 * r)
-    return c, anti - 2.0 * c * np.eye(r)
-
-
 def verify_clifford(generators, spin_sp: SpinSpace, tol: float = 1e-9) -> CliffordSubspace:
     """Check the Clifford conditions and build the subspace.
 
@@ -394,34 +386,34 @@ def grassmann_residual(k1: CliffordSubspace, k2: CliffordSubspace) -> float:
 def _eta_frame(subspace: CliffordSubspace):
     """Pseudo-orthonormal generator frame, positives first.
 
-    Pivoted Gram-Schmidt in the induced bilinear form, pivoting on the
-    largest ``|form(h, h)|``.  The pivot depends only on form values, so in
-    exact arithmetic the construction commutes with unitary conjugation of
-    the whole subspace.  In floating point it need not: for a frame that is
-    already pseudo-orthonormal every candidate reads 1 to within about
-    1e-15, so rounding picks the pivot and with it the returned vectors.
+    Pivoted Gram-Schmidt in the induced bilinear form, in one sweep: each
+    round pivots on the first largest ``|form(h, h)|`` among the remaining
+    residuals, normalizes it, and projects only the remaining residuals off
+    the new frame vector, so every residual carries its earlier projections
+    in the order a from-scratch projection would make them.  The pivot
+    depends only on form values, so in exact arithmetic the construction
+    commutes with unitary conjugation of the whole subspace.  In floating
+    point it need not: for a frame that is already pseudo-orthonormal every
+    candidate reads 1 to within about 1e-15, so rounding picks the pivot and
+    with it the returned vectors.
     """
 
     def form(u, v):
-        c, _ = _anticommutator_scalar(u, v)
-        return c.real
+        return (np.trace(u @ v + v @ u) / (2.0 * u.shape[0])).real
 
     remaining = list(subspace.generators)
     frame, signs = [], []
     while remaining:
-        candidates = []
-        for g in remaining:
-            h = g.copy()
-            for e, s in zip(frame, signs):
-                h = h - (form(h, e) / s) * e
-            candidates.append((h, form(h, h)))
-        best = max(range(len(candidates)), key=lambda i: abs(candidates[i][1]))
-        h, q = candidates[best]
+        forms = [form(h, h) for h in remaining]
+        best = int(np.argmax(np.abs(forms)))
+        q = forms[best]
         if abs(q) < 1e-10:
             raise SpliceError("degenerate direction while building the frame")
-        frame.append(h / math.sqrt(abs(q)))
-        signs.append(1.0 if q > 0 else -1.0)
-        del remaining[best]
+        e = remaining.pop(best) / math.sqrt(abs(q))
+        s = 1.0 if q > 0 else -1.0
+        frame.append(e)
+        signs.append(s)
+        remaining = [h - (form(h, e) / s) * e for h in remaining]
     order = sorted(range(len(frame)), key=lambda i: (-signs[i], i))
     return tuple(frame[i] for i in order), tuple(signs[i] for i in order)
 
@@ -569,10 +561,12 @@ def _scan_phi(system, x_id, y_id, connection, v, k, k_xy, k_yx):
     operator ``v`` and ``K = k``, over both admissible ranges.
 
     The residual is the Grassmann mismatch of ``k_yx`` and the ``k_xy``
-    generators conjugated by the connection at a phase.  In each range the
-    coarse grid is one batched closed-form evaluation
-    (:func:`_phase_residuals`) and the golden-section refinement evaluates
-    the same closed form at one phase per step.  The range's result is then
+    generators conjugated by the connection at a phase.  Both ranges of
+    ``PHI_RANGES`` are searched together, as arrays with one entry per
+    range: the coarse grid is one batched closed-form evaluation
+    (:func:`_phase_residuals`) of both ranges' 39 interior phases, and each
+    golden-section step evaluates the same closed form at one phase per
+    range, every range taking its own branch.  Each range's result is then
     evaluated explicitly, conjugating by ``connection(phi)`` and comparing
     the generator spans with :func:`_largest_sine`, the arithmetic of
     :func:`grassmann_residual`; that value is the one returned and
@@ -584,39 +578,34 @@ def _scan_phi(system, x_id, y_id, connection, v, k, k_xy, k_yx):
     target = _subspace_frame(k_yx.generators)
     closed_form = _phase_residuals(gx, gy, v, k, k_xy.generators, target)
 
-    def residual(phi):
-        return float(closed_form(np.array([phi]))[0])
-
     def explicit(phi):
         d = connection(phi)
         d_inv = spin_adjoint(d, gy, gx)
         mapped = _subspace_frame([d_inv @ g @ d for g in k_xy.generators])
         return float(_largest_sine(mapped, target))
 
-    best = None
-    for lo, hi in PHI_RANGES:
-        grid = np.linspace(lo, hi, 41)[1:-1]
-        k_min = int(np.argmin(closed_form(grid)))
-        a = grid[max(k_min - 1, 0)]
-        b = grid[min(k_min + 1, len(grid) - 1)]
-        gr = (math.sqrt(5.0) - 1.0) / 2.0
-        c, d = b - gr * (b - a), a + gr * (b - a)
-        fc, fd = residual(c), residual(d)
-        for _ in range(40):
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - gr * (b - a)
-                fc = residual(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + gr * (b - a)
-                fd = residual(d)
-        phi = 0.5 * (a + b)
-        res = explicit(phi)
-        # strict improvement keeps the positive range on exact ties
-        if best is None or res < best[1] - 1e-15:
-            best = (phi, res)
-    return best
+    # one column per range
+    lo, hi = np.array(PHI_RANGES).T
+    grid = np.linspace(lo, hi, 41)[1:-1]
+    i_min = np.argmin(closed_form(grid.ravel()).reshape(grid.shape), axis=0)
+    cols = np.arange(len(PHI_RANGES))
+    a = grid[np.maximum(i_min - 1, 0), cols]
+    b = grid[np.minimum(i_min + 1, len(grid) - 1), cols]
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - gr * (b - a), a + gr * (b - a)
+    fc, fd = closed_form(c), closed_form(d)
+    for _ in range(40):
+        # fc < fd keeps [a, d] and probes a new c; otherwise [c, b] and a new d
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        c, d = np.where(left, b - gr * (b - a), d), np.where(left, c, a + gr * (b - a))
+        f = closed_form(np.where(left, c, d))
+        fc, fd = np.where(left, f, fd), np.where(left, fc, f)
+    phi = 0.5 * (a + b)
+    res = [explicit(p) for p in phi]
+    # strict improvement keeps the positive range on exact ties
+    best = 1 if res[1] < res[0] - 1e-15 else 0
+    return phi[best], res[best]
 
 
 def spin_connection(

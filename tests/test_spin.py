@@ -1,5 +1,6 @@
 """Kernels, closed chains, sign operators, Clifford subspaces, connections."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -44,6 +45,34 @@ def pairwise_metric(gens):
             anti = gens[i] @ gens[j] + gens[j] @ gens[i]
             metric[i, j] = metric[j, i] = (np.trace(anti) / (2.0 * len(anti))).real
     return metric
+
+
+def reference_eta_frame(subspace):
+    """Pivoted Gram-Schmidt rebuilding every candidate from its generator in
+    each round: every remaining generator is projected off all frame
+    vectors so far, then the first largest ``|form(h, h)|`` is taken."""
+
+    def form(u, v):
+        return (np.trace(u @ v + v @ u) / (2.0 * u.shape[0])).real
+
+    remaining = list(subspace.generators)
+    frame, signs = [], []
+    while remaining:
+        candidates = []
+        for g in remaining:
+            h = g.copy()
+            for e, s in zip(frame, signs):
+                h = h - (form(h, e) / s) * e
+            candidates.append((h, form(h, h)))
+        best = max(range(len(candidates)), key=lambda i: abs(candidates[i][1]))
+        h, q = candidates[best]
+        if abs(q) < 1e-10:
+            raise SpliceError("degenerate direction while building the frame")
+        frame.append(h / math.sqrt(abs(q)))
+        signs.append(1.0 if q > 0 else -1.0)
+        del remaining[best]
+    order = sorted(range(len(frame)), key=lambda i: (-signs[i], i))
+    return tuple(frame[i] for i in order), tuple(signs[i] for i in order)
 
 
 def kron_system(k_from, k_to):
@@ -517,17 +546,47 @@ class TestSpinConnection:
         want = np.array([explicit(p) for p in phis])
         assert np.abs(closed_form(phis) - want).max() <= 1e-12
 
-    @pytest.mark.parametrize("x, y", [("p0000", "p0001"), ("p0001", "p0000")])
-    def test_scan_matches_explicit_reference_scan(self, small_minkowski, x, y):
-        # the grid, bracket and golden-section steps of the scan, with every
-        # residual evaluated by its definition
+    @pytest.mark.parametrize(
+        "x, y, offset, search",
+        [
+            pytest.param("p0000", "p0001", None, "explicit", id="p0000-p0001"),
+            pytest.param("p0001", "p0000", None, "explicit", id="p0001-p0000"),
+            # the positive range's minimum is interior, so its golden-section
+            # steps branch both ways (19 left, 21 right) and compare residuals
+            # that differ by rounding: the search must read the scan's own
+            # closed form, one phase at a time
+            pytest.param(
+                "p0000", "p0001", (0.5, 0.1, 0.05, 0.0), "closed_form", id="interior-minimum"
+            ),
+        ],
+    )
+    def test_scan_matches_explicit_reference_scan(self, small_minkowski, x, y, offset, search):
+        # the grid, bracket and golden-section steps of the scan, one range
+        # after the other, each range's result evaluated by its definition
         from cfslab import spin
 
-        _, system, modes = small_minkowski
+        cfg, system, modes = small_minkowski
+        if offset is not None:
+            cfg = dataclasses.replace(cfg, sample_points=((0.0, 0.0, 0.0, 0.0), offset))
+            system, modes = mk.build_system(cfg), mk.build_modes(cfg)
         k_xy = mk.dirac_frame(system, modes, x, y)
         k_yx = mk.dirac_frame(system, modes, y, x)
         connection, v, k = spin._connection_map(system, x, y)
-        residual = self._explicit_residual(system, x, y, connection, k_xy, k_yx)
+        explicit = self._explicit_residual(system, x, y, connection, k_xy, k_yx)
+        residual = explicit
+        if search == "closed_form":
+            closed_form = spin._phase_residuals(
+                system.spin_space(x).gram_diag,
+                system.spin_space(y).gram_diag,
+                v,
+                k,
+                k_xy.generators,
+                spin._subspace_frame(k_yx.generators),
+            )
+
+            def residual(phi):
+                return float(closed_form(np.array([phi]))[0])
+
         best = None
         for lo, hi in spin.PHI_RANGES:
             grid = np.linspace(lo, hi, 41)[1:-1]
@@ -546,7 +605,7 @@ class TestSpinConnection:
                     d = a + gr * (b - a)
                     fd = residual(d)
             phi = 0.5 * (a + b)
-            res = residual(phi)
+            res = explicit(phi)
             if best is None or res < best[1] - 1e-15:
                 best = (phi, res)
         assert spin._scan_phi(system, x, y, connection, v, k, k_xy, k_yx) == best
@@ -580,6 +639,37 @@ class TestSplice:
         assert np.linalg.norm(u_inv @ u - np.eye(4)) < 1e-9
         for gam in mk.GAMMA:
             assert np.linalg.norm(u @ gam @ u_inv - w @ gam @ w_inv) < 1e-8
+
+    def test_eta_frame_matches_reference_to_the_bit(self, small_minkowski):
+        # the one-sweep frame against the round-by-round reconstruction, on
+        # the provider's frames, Krein-unitary conjugates of the Dirac
+        # matrices and two-generator subspaces
+        _, system, modes = small_minkowski
+        subspaces = [k for _, k in provider_frames(system, modes)]
+        sp = self._flat_space()
+        g = sp.gram_diag
+        rng = np.random.default_rng(35)
+        for _ in range(8):
+            h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            h = 0.5 * (h + spin_adjoint(h, g, g))
+            w = scipy.linalg.expm(0.3j * h)
+            w_inv = spin_adjoint(w, g, g)
+            conj = [w @ gam @ w_inv for gam in mk.GAMMA]
+            subspaces += [cl.verify_clifford(conj, sp), cl.verify_clifford(conj[1:3], sp)]
+        subspaces.append(cl.verify_clifford(mk.GAMMA[:2], sp))
+        for k in subspaces:
+            frame, signs = spin._eta_frame(k)
+            want_frame, want_signs = reference_eta_frame(k)
+            assert signs == want_signs
+            assert [e.tobytes() for e in frame] == [e.tobytes() for e in want_frame]
+
+    def test_degenerate_direction_rejected(self):
+        # gamma^0 + gamma^1 is null for the induced form
+        null = mk.GAMMA[0] + mk.GAMMA[1]
+        k = CliffordSubspace((mk.GAMMA[2], null), np.diag([-1.0, 0.0]), (0, 1))
+        for build in (spin._eta_frame, reference_eta_frame):
+            with pytest.raises(SpliceError, match="degenerate direction"):
+                build(k)
 
     def test_signature_mismatch_rejected(self):
         sp = self._flat_space()
