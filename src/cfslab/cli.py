@@ -73,17 +73,25 @@ def _minkowski_config(doc: dict) -> minkowski.MinkowskiConfig:
     return minkowski.MinkowskiConfig(**doc)
 
 
+def _generated_system(doc) -> CausalFermionSystem:
+    """``build_system``'s system of a config, with no f x f array."""
+    cfg = _minkowski_config(doc)
+    if not cfg.sample_points:
+        raise ValidationError("config has no sample points")
+    modes = minkowski.build_modes(cfg)
+    ops = minkowski._wave_points(modes, cfg.eps, cfg.sample_points)
+    return minkowski._build_system(cfg, modes, ops=ops)
+
+
 def cmd_generate(args) -> int:
     doc = _load_config(args.config)
     kind = doc.get("kind", "minkowski")
     if kind == "minkowski":
-        system = minkowski._translated_system(_minkowski_config(doc))
+        system = _generated_system(doc)
     elif kind == "mixture":
         if not all(isinstance(doc.get(k), list) for k in ("components", "weights")):
             raise ValidationError("a mixture config needs lists 'components' and 'weights'")
-        comps = [
-            minkowski._translated_system(_minkowski_config(c)) for c in doc["components"]
-        ]
+        comps = [_generated_system(c) for c in doc["components"]]
         spec = minkowski.MixtureSpec(tuple(comps), tuple(doc["weights"]))
         system = minkowski.mix_systems(spec)
     else:
@@ -216,18 +224,17 @@ def cmd_validate(args) -> int:
 def validate_system(system: CausalFermionSystem) -> list[str]:
     """Invariant suite over points and pairs; returns human-readable violations.
 
-    Each point's image basis and nonzero eigenvalues must reproduce its
-    matrix within ``cut * sqrt(f) + 1e-12 * ||A||_F``: every eigenvalue they
+    Each point's image basis B and nonzero eigenvalues L must reproduce its
+    matrix A within ``cut * sqrt(f) + 1e-12 * ||A||_F``: every eigenvalue they
     leave out is at most the cut.  Each ordered pair is computed on its own,
     from its own overlap, in one pass over the pair matrix.
     """
     failures = []
     for e in system.points:
         op = e.op
-        b, m = op.image_basis(), op.matrix
-        defect = np.linalg.norm(m - (b * op.nonzero_eigenvalues()) @ b.conj().T)
+        defect, norm = _factor_defect(op)
         cut = system.tolerances.zero_abs * max(1.0, op.spectral_radius)
-        if not defect <= cut * np.sqrt(op.f) + 1e-12 * np.linalg.norm(m):
+        if not defect <= cut * np.sqrt(op.f) + 1e-12 * norm:
             failures.append(
                 f"point {e.id}: image basis and eigenvalues miss the matrix ({defect:.3e})"
             )
@@ -246,6 +253,25 @@ def validate_system(system: CausalFermionSystem) -> list[str]:
         if adjoint[i, j]:
             failures.append(f"{pair}: kernel adjointness defect")
     return failures
+
+
+def _factor_defect(op) -> tuple[float, float]:
+    """``||A - B L B^+||_F`` and ``||A||_F`` of a point.  A generated point
+    ``A = -psi^+ S psi`` forms no f x f array: with ``C = B^+ psi^+`` and a
+    thin QR ``Q R`` of the part ``psi^+ - B C`` outside span(B), ``psi^+ =
+    [B Q] W`` for ``W = [C; R]``, so A is ``-W S W^+`` in the orthonormal
+    columns ``[B Q]``."""
+    b, lam = op.image_basis(), op.nonzero_eigenvalues()
+    if op._waves is None:
+        m = op.matrix
+        return np.linalg.norm(m - (b * lam) @ b.conj().T), np.linalg.norm(m)
+    psi, form = op._waves
+    c = b.conj().T @ psi.conj().T
+    w = np.vstack([c, np.linalg.qr(psi.conj().T - b @ c, mode="r")])
+    a = -(w @ form @ w.conj().T)
+    norm = np.linalg.norm(a)
+    a[np.diag_indices(lam.size)] -= lam
+    return np.linalg.norm(a), norm
 
 
 def _positive(kind):

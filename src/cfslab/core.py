@@ -125,7 +125,8 @@ def _hermitian(matrix) -> np.ndarray:
 def _wave_product(psi, form) -> np.ndarray:
     """The matrix ``-psi^+ form psi`` of a generated point, before the
     constructor's symmetrization.  A matrix product, not a sign flip of the
-    entries: the signed zeros it leaves are the bits of a generated file."""
+    entries: the signed zeros it leaves are the bits of a generated point's
+    matrix."""
     return -(psi.conj().T @ (form @ psi))
 
 
@@ -134,15 +135,34 @@ def _cut(tol: Tolerances, radius: float) -> float:
     return tol.zero_abs * max(1.0, radius)
 
 
-def _eigh_parts(a: np.ndarray, tol: Tolerances):
+def _eigh_parts(a: np.ndarray, tol: Tolerances, q=None):
     """Image basis, nonzero eigenvalues (descending) and spectral radius of a
-    Hermitian matrix from its full eigendecomposition."""
+    Hermitian matrix from its full eigendecomposition; given ``q`` with
+    orthonormal columns, of the matrix ``q a q^+`` instead."""
     w, v = np.linalg.eigh(a)
     order = np.argsort(-w, kind="stable")
     w = w[order]
     radius = float(np.abs(w).max(initial=0.0))
     keep = np.abs(w) > _cut(tol, radius)
-    return np.ascontiguousarray(v[:, order[keep]]), w[keep], radius
+    basis = v[:, order[keep]]
+    return np.ascontiguousarray(basis if q is None else q @ basis), w[keep], radius
+
+
+def _wave_parts(psi: np.ndarray, form: np.ndarray, tol: Tolerances):
+    """The parts :func:`_eigh_parts` returns, of the point ``-psi^+ form psi``
+    for an r x f ``psi``, in O(r^2 f) work: with a thin QR ``psi^+ = Q R``
+    it is ``Q T Q^+`` for ``T = -R form R^+``, whose r x r ``eigh`` gives its
+    eigenvalues and, through Q, its image basis.  A non-finite ``psi``,
+    ``form`` or T is refused as :func:`_hermitian` refuses a matrix."""
+    _hermitian(form)
+    if not np.isfinite(psi).all():
+        raise ValidationError("matrix has a non-finite entry")
+    with np.errstate(all="ignore"):  # an overflow ends in the check below
+        q, r = np.linalg.qr(psi.conj().T)
+        t = -(r @ form @ r.conj().T)
+    if not np.isfinite(t).all():
+        raise ValidationError("matrix has a non-finite entry")
+    return _eigh_parts(0.5 * (t + t.conj().T), tol, q)
 
 
 # Range finder: columns of the test matrix beyond the rank bound, and the
@@ -198,27 +218,25 @@ class OperatorPoint:
     in descending order (positives, then negatives) and its spectral radius.
     Eigenvalues of magnitude at most ``zero_abs * max(1, spectral radius)``
     count as zero.  They come from a full eigendecomposition (LAPACK
-    ``eigh``, deterministic for fixed input), or given a bound ``max_rank``
-    on the rank from :func:`_range_parts`, whose range finder leaves
-    uncertified ranks to ``eigh``; eigenvalues and the image projector then
-    agree with ``eigh``'s to rounding, but not the basis inside a degenerate
-    eigenspace.
+    ``eigh``, deterministic for fixed input), or for ``waves=(psi, S)`` from
+    :func:`_wave_parts`; eigenvalues and the image projector then agree with
+    ``eigh``'s to rounding, but not the basis inside a degenerate eigenspace.
 
-    A point built from a matrix keeps that matrix.  A generated point
-    (:meth:`_from_waves`) keeps instead its wave evaluation ``psi`` (r x f)
-    and the r x r spin form ``S`` of the operator ``-psi^+ S psi``, and
-    :attr:`matrix` forms that operator on each access, caching nothing, to
-    the bits the constructor decomposed.  Its arrays then take ``16 (f rank
-    + r f)`` bytes, against ``16 (f^2 + f rank)`` for a matrix point: with
-    r = rank = 4 at f = 250, 32 kB against 1 MB.
+    A point built from a matrix keeps that matrix.  A generated point (built
+    from ``waves``, or by :meth:`_from_waves` through ``eigh``) keeps instead
+    its wave evaluation ``psi`` (r x f) and the r x r spin form ``S`` of the
+    operator ``-psi^+ S psi``, and :attr:`matrix` forms that operator on each
+    access, caching nothing.  Its arrays then take ``16 (f rank + r f)``
+    bytes, against ``16 (f^2 + f rank)`` for a matrix point: with r = rank =
+    4 at f = 250, 32 kB against 1 MB.
 
     Parameters
     ----------
     matrix : (f, f) array_like
         Finite complex matrix; must equal its conjugate transpose within
-        ``1e-12 * ||matrix||_F``.
+        ``1e-12 * ||matrix||_F``; not given with ``waves``.
     tol : Tolerances, optional
-    max_rank : int, optional
+    waves : (psi, S) pair of complex128 arrays, optional
     """
 
     __slots__ = (
@@ -233,10 +251,13 @@ class OperatorPoint:
         "_spin",
     )
 
-    def __init__(self, matrix, tol: Tolerances | None = None, *, max_rank: int | None = None):
-        a, tol = _hermitian(matrix), tol or DEFAULT_TOL
-        parts = _eigh_parts(a, tol) if max_rank is None else _range_parts(a, max_rank, tol)
-        self._build(a, *parts)
+    def __init__(self, matrix=None, tol: Tolerances | None = None, *, waves=None):
+        tol = tol or DEFAULT_TOL
+        if waves is None:
+            a = _hermitian(matrix)
+            self._build(a, *_eigh_parts(a, tol))
+        else:
+            self._build(None, *_wave_parts(*waves, tol), waves)
 
     @classmethod
     def _from_factors(cls, matrix, basis, eigenvalues, radius, waves=None):
@@ -247,10 +268,11 @@ class OperatorPoint:
         return x
 
     @classmethod
-    def _from_waves(cls, waves, form, max_rank: int | None = None) -> list:
+    def _from_waves(cls, waves, form) -> list:
         """The generated points ``-psi^+ form psi``, one per ``psi`` of the
-        iterable ``waves``: the constructor decomposes each matrix, and the
-        point then holds ``psi`` and ``form`` in its place.
+        iterable ``waves``: the constructor decomposes each matrix by its
+        full ``eigh``, and the point then holds ``psi`` and ``form`` in its
+        place.
 
         Each matrix is freed only after the next point is built.  Freed at
         once, a point's last f x f array lets the allocator return all the
@@ -260,7 +282,7 @@ class OperatorPoint:
         """
         points, held = [], None
         for psi in waves:
-            x = cls(_wave_product(psi, form), max_rank=max_rank)
+            x = cls(_wave_product(psi, form))
             held, x._matrix, x._waves = x._matrix, None, (psi, form)
             points.append(x)
         del held
@@ -291,20 +313,6 @@ class OperatorPoint:
         if self._waves is None:
             return self._matrix
         return _hermitian(_wave_product(*self._waves))
-
-    def _tril(self, tril) -> np.ndarray:
-        """``matrix[tril]``, to the bit.  A generated point forms only its
-        product and halves the entries at ``tril`` with their mirrors as
-        :func:`_hermitian` does, which checked that product when the point
-        was built; it falls back on ``_hermitian`` where that would halve
-        differently (an entry above 2**1022) or refuse (a NaN)."""
-        if self._waves is None:
-            return self._matrix[tril]
-        m = _wave_product(*self._waves)
-        low, up = m[tril], m.T[tril].conj()
-        if not np.maximum(np.abs(low).max(), np.abs(up).max()) <= 2.0**1022:
-            return _hermitian(m)[tril]
-        return 0.5 * (low + up)
 
     @property
     def f(self) -> int:
@@ -636,22 +644,23 @@ def classify(
     return _CLASSES[_pair(x, y, n, tol)[1]]
 
 
-def time_direction(x: OperatorPoint, y: OperatorPoint) -> float:
+def time_direction(x: OperatorPoint, y: OperatorPoint, n: int | None = None) -> float:
     """Time-direction functional ``i tr(y x pi_y pi_x - x y pi_x pi_y)``.
 
     Positive values mean ``y`` lies in the future of ``x``; the functional is
     antisymmetric and vanishes identically on the diagonal (returned as an
-    exact ``0.0`` when the two matrices coincide).
+    exact ``0.0`` when the two matrices coincide).  ``n`` as in :func:`classify`.
     """
-    return float(_pair(x, y)[3])
+    return float(_pair(x, y, n)[3])
 
 
 def time_orientation(
-    x: OperatorPoint, y: OperatorPoint, tol: Tolerances | None = None
+    x: OperatorPoint, y: OperatorPoint, tol: Tolerances | None = None, n: int | None = None
 ) -> int:
     """Sign of the time direction: +1 future, -1 past, 0 undirected.
 
     Values within ``imag_rel * ||x|| * ||y||`` of zero are reported as
-    undirected rather than forced into future or past.
+    undirected rather than forced into future or past.  ``n`` as in
+    :func:`classify`.
     """
-    return int(_pair(x, y, tol=tol)[2])
+    return int(_pair(x, y, n, tol)[2])

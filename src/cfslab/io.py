@@ -1,15 +1,18 @@
 """System files: a JSON format for finite systems.
 
-Format version "2" stores each point's matrix as one string: the base64 of
-its row-major lower triangle, f(f+1)/2 entries of little-endian complex128
-(``"<c16"``, an (re, im) pair of float64 each), completed Hermitially on
-load.  It is bit-exact by construction.  :func:`write_system` always writes
-version 2.  Version "1" files, whose matrices are lists of [re, im] pairs
-holding either the lower triangle or the full row-major matrix, are still
-read; the reader tells the two layouts apart by the matrix's JSON type.  A
-completed triangle is self-adjoint off the diagonal by construction, so the
-reader checks only what a stored triangle can break (a non-finite entry, a
-diagonal imaginary part), and builds each point with the range finder.
+:func:`write_system` always writes format version "3".  A generated point
+(see :class:`cfslab.core.OperatorPoint`) is stored as ``"psi"``, the base64
+of its r x f wave evaluation as row-major little-endian complex128
+(``"<c16"``), and ``"form"``, the base64 of its r x r spin form: 16 kB
+against a triangle's 502 kB at r = 4, f = 250.  The reader decomposes it
+through its r x r factor, with no f x f array.  Any other point is stored
+as ``"matrix"``, the base64 of its row-major ``<c16`` lower triangle,
+completed Hermitially on load: equal values, but the symmetrization may
+flip the sign of a zero, where a wave point reads back to the same bits.
+Version "2" files hold only such triangles, and version "1" files lists of
+[re, im] pairs, of the lower triangle or of the full row-major matrix.  The
+reader checks and symmetrizes each matrix as the point constructor does, and
+decomposes it with the range finder.
 """
 
 from __future__ import annotations
@@ -18,32 +21,55 @@ import base64
 import json
 import math
 
-from .core import _HERMITICITY_RTOL, CausalFermionSystem, OperatorPoint, Tolerances
-from .core import _hermitian, _range_parts
+from .core import CausalFermionSystem, OperatorPoint, Tolerances, _hermitian, _range_parts
 from .errors import ValidationError
 
 import numpy as np
 
 __all__ = ["read_system", "system_to_json", "write_system"]
 
-FORMAT_VERSION = "2"
-READ_VERSIONS = ("1", FORMAT_VERSION)
+FORMAT_VERSION = "3"
+READ_VERSIONS = ("1", "2", FORMAT_VERSION)
 
 
-def _lower_blob(op: OperatorPoint, tril) -> str:
-    return base64.b64encode(op._tril(tril).astype("<c16").tobytes()).decode("ascii")
+def _blob(values: np.ndarray) -> str:
+    return base64.b64encode(values.astype("<c16").tobytes()).decode("ascii")
+
+
+def _point_members(op: OperatorPoint, tril) -> str:
+    """A point's stored arrays, as the JSON members after its weight."""
+    if op._waves is None:
+        return f'"matrix": "{_blob(op._matrix[tril])}"'
+    psi, form = op._waves
+    return f'"psi": "{_blob(psi)}",\n   "form": "{_blob(form)}"'
+
+
+def _complex(data: bytes, count: int, pid: str, name: str) -> np.ndarray:
+    """``count`` complex128 values from the bytes of a ``name`` blob."""
+    if len(data) != 16 * count:
+        raise ValidationError(
+            f"point {pid!r}: {name} blob has {len(data)} bytes, expected {16 * count}"
+        )
+    return np.frombuffer(data, dtype="<c16").astype(np.complex128, copy=False)
+
+
+def _waves_from_entry(entry: dict, f: int, pid: str):
+    """A version 3 point's wave evaluation (r x f) and spin form (r x r)."""
+    data = base64.b64decode(_require(entry, "form"), validate=True)
+    r = math.isqrt(len(data) // 16)
+    if r == 0 or len(data) != 16 * r * r:
+        raise ValidationError(
+            f"point {pid!r}: form blob has {len(data)} bytes, not those of a square matrix"
+        )
+    psi = _complex(base64.b64decode(entry["psi"], validate=True), r * f, pid, "psi")
+    return psi.reshape(r, f), _complex(data, r * r, pid, "form").reshape(r, r)
 
 
 def _matrix_from_entry(raw, f: int, pid: str) -> np.ndarray:
     """A point's stored lower triangle, flat, or a version 1 full matrix."""
     n_low = f * (f + 1) // 2
     if isinstance(raw, str):
-        data = base64.b64decode(raw, validate=True)
-        if len(data) != 16 * n_low:
-            raise ValidationError(
-                f"point {pid!r}: matrix blob has {len(data)} bytes, expected {16 * n_low}"
-            )
-        return np.frombuffer(data, dtype="<c16").astype(np.complex128, copy=False)
+        return _complex(base64.b64decode(raw, validate=True), n_low, pid, "matrix")
     if not isinstance(raw, list):
         raise ValidationError(
             f"point {pid!r}: matrix must be a base64 string or a list of [re, im] pairs"
@@ -63,42 +89,13 @@ def _matrix_from_entry(raw, f: int, pid: str) -> np.ndarray:
     return low
 
 
-def _hermitian_from_triangle(low: np.ndarray, tril) -> np.ndarray:
-    """``core._hermitian`` of the matrix with stored lower triangle ``low``
-    (row-major, at ``tril``) and its conjugate above, bit for bit, from the
-    stored entries: its test on the diagonal's imaginary parts against
-    ``||A||_F``, and its halving as ``0.5 * (x + x)`` on each entry and its
-    conjugate and ``0.5 * (d + conj d)`` on the diagonal.  Entries above
-    2**1022, where ``x + x`` overflows, take ``_hermitian`` itself.
-    """
+def _scattered(low: np.ndarray, tril) -> np.ndarray:
+    """The matrix with stored lower triangle ``low`` (row-major, at ``tril``)
+    and its conjugate above; the diagonal keeps the stored values."""
     rows, cols = tril
-    diag = np.flatnonzero(rows == cols)
-    m = np.empty((diag.size, diag.size), dtype=np.complex128)
-    s = np.abs(low).max()
-    if not math.isfinite(s):
-        raise ValidationError("matrix has a non-finite entry")
-    if s > 2.0**1022:
-        m[cols, rows] = low.conj()
-        m[rows, cols] = low
-        return _hermitian(m)
-    b = (low.view(np.float64) / (s or 1.0)).view(np.complex128)
-    bd = b[diag]
-    defect2 = 4.0 * np.dot(bd.imag, bd.imag)
-    if defect2 > _HERMITICITY_RTOL**2 * (2.0 * np.vdot(b, b).real - np.vdot(bd, bd).real):
-        raise ValidationError(
-            f"matrix is not self-adjoint: ||A - A*|| = {math.sqrt(defect2) * s:.3e}"
-        )
-    # in place, one triangle-sized array at a time: x *= 0.5 has the bits of
-    # 0.5 * x
-    half = low.conj()
-    d = 0.5 * (low[diag] + half[diag])
-    half += half
-    half *= 0.5
-    m[cols, rows] = half
-    np.add(low, low, out=half)
-    half *= 0.5
-    half[diag] = d
-    m[rows, cols] = half
+    m = np.empty((rows[-1] + 1,) * 2, dtype=np.complex128)
+    m[cols, rows] = low.conj()
+    m[rows, cols] = low
     return m
 
 
@@ -114,10 +111,11 @@ def system_to_json(system: CausalFermionSystem) -> str:
         "metadata": system.metadata,
         "points": None,
     }
-    tril = np.tril_indices(system.f)
+    matrices = any(e.op._waves is None for e in system.points)
+    tril = np.tril_indices(system.f) if matrices else None
     points = ",\n".join(
         f'  {{\n   "id": {json.dumps(e.id)},\n   "weight": {json.dumps(e.weight)},\n'
-        f'   "matrix": "{_lower_blob(e.op, tril)}"\n  }}'
+        f'   {_point_members(e.op, tril)}\n  }}'
         for e in system.points
     )
     return json.dumps(doc, indent=1).removesuffix("null\n}") + f"[\n{points}\n ]\n}}\n"
@@ -135,7 +133,7 @@ def _require(doc: dict, key: str):
 
 
 def read_system(path, *, eig_rel=None, imag_rel=None, zero_abs=None) -> CausalFermionSystem:
-    """Parse and validate a system file of format version 1 or 2.
+    """Parse and validate a system file of format version 1, 2 or 3.
 
     ``eig_rel``, ``imag_rel`` and ``zero_abs``, where not None, replace the
     file's own tolerances before any point is built: ``zero_abs`` decides
@@ -145,9 +143,10 @@ def read_system(path, *, eig_rel=None, imag_rel=None, zero_abs=None) -> CausalFe
     ------
     ValidationError
         On malformed JSON (with line and column), missing fields, an empty
-        point list, n or f below 1, a matrix blob that is not base64 of the
-        right length, or violated invariants (Hermiticity, finite entries,
-        signature bounds, weights).
+        point list, n or f below 1, a point with neither ``"psi"`` nor
+        ``"matrix"``, ``"psi"`` in a version 1 or 2 file, a blob that is not
+        base64 of the right length, or violated invariants (Hermiticity of a
+        matrix or form, finite entries, signature bounds, weights).
     """
     given = {"eig_rel": eig_rel, "imag_rel": imag_rel, "zero_abs": zero_abs}
     given = {k: v for k, v in given.items() if v is not None}
@@ -181,23 +180,34 @@ def read_system(path, *, eig_rel=None, imag_rel=None, zero_abs=None) -> CausalFe
         for entry in _require(doc, "points"):
             pid = str(_require(entry, "id"))
             weight = float(_require(entry, "weight"))
-            matrix = _matrix_from_entry(_require(entry, "matrix"), f, pid)
-            entries.append((pid, weight, matrix))
+            if "psi" in entry:
+                if version != FORMAT_VERSION:
+                    raise ValidationError(f"point {pid!r}: psi needs format version 3")
+                stored = _waves_from_entry(entry, f, pid)
+            elif "matrix" in entry:
+                stored = _matrix_from_entry(entry["matrix"], f, pid)
+            else:
+                raise ValidationError(f"point {pid!r} has neither psi nor matrix")
+            entries.append((pid, weight, stored))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed system file: {exc}") from None
-    del doc  # the decoded triangles replace its text before any point is built
+    del doc  # the decoded arrays replace its text before any point is built
     if not entries:
         raise ValidationError("system file has no points")
-    # a point has rank at most 2n; the range finder reads its image without
-    # an f x f eigendecomposition unless it cannot certify the rank
-    tril = np.tril_indices(f) if any(m.ndim == 1 for _, _, m in entries) else None
+    # a point has rank at most 2n; the range finder reads a matrix point's
+    # image without an f x f eigendecomposition unless it cannot certify it
+    triangles = any(isinstance(m, np.ndarray) and m.ndim == 1 for _, _, m in entries)
+    tril = np.tril_indices(f) if triangles else None
     points = []
     entries.reverse()  # popped in file order, each triangle freed once built
     while entries:
         pid, w, m = entries.pop()
         try:
-            a = _hermitian(m) if m.ndim == 2 else _hermitian_from_triangle(m, tril)
-            op = OperatorPoint._from_factors(a, *_range_parts(a, 2 * n, tolerances))
+            if isinstance(m, tuple):
+                op = OperatorPoint(tol=tolerances, waves=m)
+            else:
+                a = _hermitian(m if m.ndim == 2 else _scattered(m, tril))
+                op = OperatorPoint._from_factors(a, *_range_parts(a, 2 * n, tolerances))
             points.append((pid, w, op))
         except ValidationError as exc:
             raise ValidationError(f"point {pid!r}: {exc}") from None

@@ -109,7 +109,9 @@ class MinkowskiConfig:
     kmax : momentum cutoff in lattice units per axis
     sample_points : space-time coordinates (t, x1, x2, x3) of the points
     weights : optional per-point measure weights (default 1)
-    max_f : guard on the Hilbert dimension ``2 (2 kmax + 1)^3``
+    max_f : guard on the Hilbert dimension ``2 (2 kmax + 1)^3``, for what is
+        f x f: :func:`build_system`'s ``eigh`` and version 1 and 2 files
+        (``cfslab generate`` and version 3 files are linear in f)
     """
 
     mass: float = 1.0
@@ -261,51 +263,16 @@ def local_correlation(modes: ModeSet, point, eps: float) -> OperatorPoint:
     the point holds ``16 (4 f + 4 f)`` bytes of arrays (32 kB at f = 250)
     where a matrix point holds ``16 (f^2 + 4 f)`` (1 MB).
     """
+    # f x f eigh, not the 4 x 4 factor: spin transport's references pin its basis
     return OperatorPoint._from_waves([evaluation_matrix(modes, point, eps)], _GAMMA0)[0]
 
 
-def _translates(modes: ModeSet, eps: float, coords) -> list[OperatorPoint]:
-    """Local correlation operators at ``coords`` with no f x f ``eigh``.
-
-    The regularized vacuum is translation invariant: with ``a`` the shift
-    from the first coordinate, every mode picks up the phase
-    ``exp(i (k.a + omega a^0))``, so ``E(p + a) = E(p) D_a`` with ``D_a``
-    the diagonal unitary of these phases and ``F(p + a) = D_a^+ F(p) D_a``.
-    The first point is built with ``max_rank=4`` from the certified range
-    finder (``eigh`` where it cannot certify the rank), a second route beside
-    :func:`local_correlation`'s ``eigh``.  Every other point takes the image
-    basis ``D_a^+ B`` and the first point's eigenvalues and spectral radius,
-    so all points share one rank decision, and never forms its matrix.
-    Eigenvalues and projectors agree with a point's own ``eigh`` to rounding;
-    the basis inside a degenerate eigenspace may differ.
-
-    Every point is a generated one, as in :func:`local_correlation`: it
-    holds its own evaluation matrix E (4 x f), and ``matrix`` forms
-    ``-E^+ Sigma E`` on each access, to the bits ``local_correlation``'s
-    point gives; ``16 (4 f + 4 f)`` bytes of arrays per point against
-    ``16 (f^2 + 4 f)`` for a matrix point.
-
-    Two callers build their points here: :func:`transport_study`, once per
-    regularization length, and ``cfslab generate`` (:func:`_translated_system`),
-    once per config, whose files keep only the matrices.
-    """
-    (first,) = OperatorPoint._from_waves(
-        [evaluation_matrix(modes, coords[0], eps)], _GAMMA0, max_rank=4
-    )
-    basis, eigs = first.image_basis(), first.nonzero_eigenvalues()
-    origin = np.asarray(coords[0], dtype=float)
-    points = [first]
-    for p in coords[1:]:
-        a = np.asarray(p, dtype=float) - origin
-        phase = np.exp(1j * (modes.momenta @ a[1:] + modes.omegas * a[0]))
-        points.append(OperatorPoint._from_factors(
-            None,
-            np.conj(phase)[:, None] * basis,
-            eigs,
-            first.spectral_radius,
-            (evaluation_matrix(modes, p, eps), _GAMMA0),
-        ))
-    return points
+def _wave_points(modes: ModeSet, eps: float, coords) -> list[OperatorPoint]:
+    """:func:`local_correlation`'s points at ``coords``, each decomposed
+    through the 4 x 4 factor of its wave evaluation, with no f x f array."""
+    return [
+        OperatorPoint(waves=(evaluation_matrix(modes, p, eps), _GAMMA0)) for p in coords
+    ]
 
 
 def build_system(
@@ -316,37 +283,19 @@ def build_system(
     Point ids are ``p0000, p0001, ...`` in sample order; the coordinates and
     generator parameters are kept in the metadata so that reports and the
     Clifford-frame constructor can refer back to them.  The points are
-    generated ones (:func:`local_correlation`), holding no f x f array.
+    generated ones, each decomposed by its own f x f ``eigh`` as in
+    :func:`local_correlation`, and hold no f x f array.
     """
     if not config.sample_points:
         raise ValidationError("config has no sample points")
     return _build_system(config, build_modes(config), tolerances)
 
 
-def _translated_system(config: MinkowskiConfig) -> CausalFermionSystem:
-    """:func:`build_system`'s system without an f x f eigendecomposition,
-    for ``cfslab generate``.
-
-    A file keeps only the matrices, which every point forms and symmetrizes
-    as ``build_system``'s do, so the bytes written are the same; every point
-    after the first takes its image basis as a translate of the first's
-    (:func:`_translates`) instead of from its own ``eigh``.  The points are
-    generated ones, each holding its 4 x f evaluation matrix, and the writer
-    forms each point's product, not its symmetrized matrix, when it writes
-    that point's triangle (``OperatorPoint._tril``).  This path goes away
-    once ``build_system`` itself builds from translates.
-    """
-    if not config.sample_points:
-        raise ValidationError("config has no sample points")
-    modes = build_modes(config)
-    ops = _translates(modes, config.eps, config.sample_points)
-    return _build_system(config, modes, ops=ops)
-
-
 def _build_system(config, modes: ModeSet, tolerances=None, ops=None) -> CausalFermionSystem:
     """The system of ``config``; ``ops`` are its points in sample order,
     each decomposed as by :func:`local_correlation` when not given."""
     if ops is None:
+        # f x f eigh, as in local_correlation: spin transport pins its basis
         waves = (evaluation_matrix(modes, p, config.eps) for p in config.sample_points)
         ops = OperatorPoint._from_waves(waves, _GAMMA0)
     weights = config.weights or tuple(1.0 for _ in config.sample_points)
@@ -547,17 +496,9 @@ def transport_study(
     For every regularization length and every segment count, a system is
     built on the equally spaced path points and both the spin and the frame
     transport deviations from the identity are recorded.  The mode set
-    depends on neither, so it is built once.  Every path starts at the
-    origin, and its points are exact time translates of the origin's
-    (:func:`_translates`), so one decomposition of the origin's point per
-    regularization length, by the range finder, serves every segment count.
-
-    The other caller of :func:`_translates` is ``cfslab generate``, which
-    writes only the matrices.  :func:`build_system` still decomposes each
-    point on its own.  Translates pick another basis inside the degenerate
-    eigenspaces, and the Clifford-frame splices of spin transport along a
-    general path depend on that basis (``_eta_frame`` pivots on form values
-    that tie to rounding), so switching the builder would move those outputs.
+    depends on neither, so it is built once.  The rows share their path
+    points, and each point is decomposed once per regularization length
+    through the 4 x 4 factor of its wave evaluation (:func:`_wave_points`).
     """
     modes = build_modes(base_config)
     paths = [
@@ -569,7 +510,7 @@ def transport_study(
     coords = list(dict.fromkeys(p for pts in paths for p in pts))
     rows = []
     for eps in eps_list:
-        ops = dict(zip(coords, _translates(modes, float(eps), coords)))
+        ops = dict(zip(coords, _wave_points(modes, float(eps), coords)))
         for n_steps, pts in zip(refine_list, paths):
             cfg = replace(base_config, eps=float(eps), sample_points=pts)
             system = _build_system(cfg, modes, ops=[ops[p] for p in pts])

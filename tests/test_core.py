@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfslab.core import (
+    DEFAULT_TOL,
     CausalClass,
     CausalFermionSystem,
     OperatorPoint,
@@ -20,7 +21,9 @@ from cfslab.core import (
     spin_space,
     time_direction,
     time_orientation,
+    _range_parts,
 )
+from cfslab.pairs import PairEngine
 from cfslab.errors import (
     DimensionMismatchError,
     EmptySystemError,
@@ -30,6 +33,7 @@ from cfslab.errors import (
 from conftest import (
     full_product_spectrum,
     match_multisets,
+    mixed_rank_system,
     random_point,
     random_regular_point,
     random_regular_system,
@@ -83,16 +87,22 @@ class TestOperatorPoint:
         assert not is_regular(OperatorPoint(x), 2)
 
 
+def _range_point(matrix, max_rank):
+    """The point of a Hermitian matrix decomposed by the range finder, as
+    the reader of version 1 and 2 files builds it."""
+    return OperatorPoint._from_factors(matrix, *_range_parts(matrix, max_rank, DEFAULT_TOL))
+
+
 class TestRankBound:
-    """``OperatorPoint(matrix, max_rank=...)``: the constructor's rank
-    decision without an f x f eigendecomposition."""
+    """:func:`_range_parts`: the constructor's rank decision without an
+    f x f eigendecomposition."""
 
     @pytest.mark.parametrize("signature", [(2, 2), (2, 1), (0, 1), (0, 0)])
     def test_agrees_with_constructor(self, signature, eigh_shapes):
         rng = np.random.default_rng(61)
         x = random_point(64, *signature, rng)
         eigh_shapes.clear()
-        y = OperatorPoint(x.matrix, max_rank=4)
+        y = _range_point(x.matrix, 4)
         assert (64, 64) not in eigh_shapes
         assert np.array_equal(y.matrix, x.matrix)
         assert (y.pos_eigs, y.neg_eigs) == signature
@@ -106,7 +116,7 @@ class TestRankBound:
         # below f = 4 (2n + 4) the full eigendecomposition is cheaper
         x = random_regular_point(16, 2, np.random.default_rng(62))
         eigh_shapes.clear()
-        y = OperatorPoint(x.matrix, max_rank=4)
+        y = _range_point(x.matrix, 4)
         assert eigh_shapes == [(16, 16)]
         assert np.array_equal(y.image_basis(), x.image_basis())
         assert np.array_equal(y.nonzero_eigenvalues(), x.nonzero_eigenvalues())
@@ -118,7 +128,7 @@ class TestRankBound:
         eigh_shapes.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            y = OperatorPoint(m, max_rank=4)
+            y = _range_point(x.matrix, 4)
         assert eigh_shapes.count((64, 64)) == 1
         assert np.array_equal(y.image_basis(), x.image_basis())
         assert np.array_equal(y.nonzero_eigenvalues(), x.nonzero_eigenvalues())
@@ -246,6 +256,18 @@ class TestTimeDirection:
             c_xy = time_direction(x, y)
             c_yx = time_direction(y, x)
             assert abs(c_xy + c_yx) <= 1e-12 * max(1.0, abs(c_xy))
+
+    def test_system_n_matches_pair_engine(self):
+        # ranks 0 to 4 in 2n = 4 slots: without n the slots are counted per
+        # pair, and the padding moves 90 of these 780 time directions in
+        # their last bits.  Exact equality, not bytes: the per-pair function
+        # gives two equal (here zero) points +0.0, the engine -0.0
+        system = mixed_rank_system(40, 6, 2, np.random.default_rng(95))
+        analysis = PairEngine(system).analyze()
+        ops = [e.op for e in system.points]
+        for i, j in zip(*np.triu_indices(len(ops), 1)):
+            assert time_direction(ops[i], ops[j], n=2) == analysis.cvals[i, j]
+            assert time_orientation(ops[i], ops[j], n=2) == analysis.orientation[i, j]
 
     def test_orientation_thresholding(self):
         x = OperatorPoint(np.diag([2.0, -1.0]))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from cfslab.causal import CausalGraph, LengthScales, distance_matrix
 from cfslab.cli import main, validate_system
-from cfslab import cli, minkowski, pairs, reports
+from cfslab import cli, core, minkowski, pairs, reports
 from cfslab.core import (
     CausalFermionSystem,
     OperatorPoint,
@@ -29,8 +29,8 @@ from cfslab.core import (
 )
 from cfslab.errors import ValidationError
 from cfslab.io import (
-    _hermitian_from_triangle,
     _matrix_from_entry,
+    _scattered,
     read_system,
     system_to_json,
     write_system,
@@ -91,7 +91,7 @@ class TestSystemFile:
         rng = np.random.default_rng(86)
         system = random_regular_system(2, 5, 2, rng)
         doc = json.loads(system_to_json(system))
-        assert doc["version"] == "2"
+        assert doc["version"] == "3"
         for point, e in zip(doc["points"], system.points):
             low = np.frombuffer(base64.b64decode(point["matrix"]), dtype="<c16")
             assert low.tobytes() == e.op.matrix[np.tril_indices(5)].astype("<c16").tobytes()
@@ -128,7 +128,7 @@ class TestSystemFile:
         for raw in (_pairs(low), base64.b64encode(low.astype("<c16").tobytes()).decode()):
             stored = _matrix_from_entry(raw, 2, "a")
             assert stored.tobytes() == low.tobytes()
-            m = _hermitian_from_triangle(stored, np.tril_indices(2))
+            m = _hermitian(_scattered(stored, np.tril_indices(2)))
             want = _hermitian(np.array([[low[0], low[1].conjugate()], low[1:]]))
             assert m.tobytes() == want.tobytes()
 
@@ -145,15 +145,20 @@ class TestSystemFile:
     def _json_dumps_text(system) -> str:
         """The writer's text as ``json.dumps`` of the whole document."""
         tril = np.tril_indices(system.f)
+
+        def arrays(op):
+            if op._waves is None:
+                return {"matrix": _blob(op.matrix[tril])}
+            return {"psi": _blob(op._waves[0].ravel()), "form": _blob(op._waves[1].ravel())}
+
         doc = {
-            "version": "2",
+            "version": "3",
             "n": system.n,
             "f": system.f,
             "tolerances": system.tolerances.as_dict(),
             "metadata": system.metadata,
             "points": [
-                {"id": e.id, "weight": e.weight, "matrix": _blob(e.op.matrix[tril])}
-                for e in system.points
+                {"id": e.id, "weight": e.weight, **arrays(e.op)} for e in system.points
             ],
         }
         return json.dumps(doc, indent=1) + "\n"
@@ -176,6 +181,12 @@ class TestSystemFile:
         systems = [minkowski.build_system(cli._minkowski_config(d)) for d in doc["components"]]
         system = minkowski.mix_systems(minkowski.MixtureSpec(tuple(systems), tuple(doc["weights"])))
         assert system_to_json(system) == self._json_dumps_text(system)
+        # matrix points and generated ones in one file
+        rng = np.random.default_rng(85)
+        matrices = random_regular_system(2, system.f, 2, rng)
+        points = [(e.id, e.weight, e.op) for e in (*system.points, *matrices.points)]
+        both = CausalFermionSystem(2, points, metadata=system.metadata)
+        assert system_to_json(both) == self._json_dumps_text(both)
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**1022], ids=["plain", "above-2**1022"])
     def test_triangles_read_as_hermitian_of_the_scattered_matrix(self, scale, tmp_path):
@@ -231,6 +242,77 @@ class TestSystemFile:
             assert main(["validate", "--system", str(path)]) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
 
+    @staticmethod
+    def _wave_entry(psi=None, form=None) -> dict:
+        """A version 3 point at f = 3 from a 4 x 3 wave evaluation, with
+        ``psi`` or ``form`` replaced where given."""
+        rng = np.random.default_rng(90)
+        waves = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        return {
+            "id": "a",
+            "weight": 1.0,
+            "psi": _blob(waves.ravel()) if psi is None else psi,
+            "form": _blob(np.diag([1.0, 1.0, -1.0, -1.0]).ravel()) if form is None else form,
+        }
+
+    def test_wave_entry_reads_back(self, tmp_path):
+        path = tmp_path / "waves.json"
+        doc = {"version": "3", "n": 2, "f": 3, "points": [self._wave_entry()]}
+        path.write_text(json.dumps(doc))
+        (e,) = read_system(path).points
+        psi, form = e.op._waves
+        assert _blob(psi.ravel()) == doc["points"][0]["psi"] and psi.shape == (4, 3)
+        assert _blob(form.ravel()) == doc["points"][0]["form"] and form.shape == (4, 4)
+        assert e.op.rank == 3 and main(["validate", "--system", str(path)]) == 0
+
+    _ASYMMETRIC = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+    _ASYMMETRIC[0, 1] = 1.0
+
+    @pytest.mark.parametrize(
+        "version, entry, message",
+        [
+            ("3", {"psi": "AAAA!AAA"}, "malformed system file: Only base64 data is allowed"),
+            ("3", {"form": "AAAA!AAA"}, "malformed system file: Only base64 data is allowed"),
+            (
+                "3",
+                {"psi": 5.0},
+                "malformed system file: argument should be a bytes-like object or ASCII "
+                "string, not 'float'",
+            ),
+            ("3", {"psi": _blob(np.zeros(8))}, "point 'a': psi blob has 128 bytes, expected 192"),
+            (
+                "3",
+                {"form": _blob(np.zeros(3))},
+                "point 'a': form blob has 48 bytes, not those of a square matrix",
+            ),
+            ("3", {"form": ""}, "point 'a': form blob has 0 bytes, not those of a square matrix"),
+            (
+                "3",
+                {"form": _blob(_ASYMMETRIC.ravel())},
+                "point 'a': matrix is not self-adjoint: ||A - A*|| = 1.414e+00",
+            ),
+            ("3", {"psi": _blob([np.nan] * 12)}, "point 'a': matrix has a non-finite entry"),
+            ("3", {"psi": _blob([1e200] * 12)}, "point 'a': matrix has a non-finite entry"),
+            ("3", {"form": _blob([np.inf] * 16)}, "point 'a': matrix has a non-finite entry"),
+            ("2", {}, "point 'a': psi needs format version 3"),
+            ("1", {}, "point 'a': psi needs format version 3"),
+            ("3", {"psi": None, "form": None}, "point 'a' has neither psi nor matrix"),
+            ("3", {"form": None}, "system file lacks the field 'form'"),
+        ],
+        ids=[
+            "psi-base64", "form-base64", "psi-number", "psi-length", "form-not-square",
+            "form-empty", "form-not-self-adjoint", "psi-nan", "factor-overflows", "form-inf",
+            "psi-in-v2", "psi-in-v1", "neither", "form-missing",
+        ],
+    )
+    def test_wave_refusals_under_validate(self, version, entry, message, tmp_path, capsys):
+        point = {**self._wave_entry(), **entry}
+        point = {k: v for k, v in point.items() if v is not None}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"version": version, "n": 2, "f": 3, "points": [point]}))
+        assert main(["validate", "--system", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize(
         "matrix, version, match",
         [
@@ -239,9 +321,10 @@ class TestSystemFile:
             (5.0, "2", "base64 string or a list"),
             ({"re": 1.0}, "1", "base64 string or a list"),
             ([[1.0, 0.0, 0.0]] * 3, "1", "list of \\[re, im\\] pairs"),
-            (None, "3", "unsupported format version '3'"),
+            (5.0, "3", "base64 string or a list"),
+            (None, "4", "unsupported format version '4'"),
         ],
-        ids=["blob-length", "blob-base64", "number", "object", "triples", "version-3"],
+        ids=["blob-length", "blob-base64", "number", "object", "triples", "version-3", "version-4"],
     )
     def test_bad_matrix_or_version_rejected(self, matrix, version, match, tmp_path):
         doc = {
@@ -375,23 +458,30 @@ class TestBoundedRankReader:
             ),
         )
         system = minkowski.build_system(cfg)
-        path = tmp_path / "sea.json"
-        write_system(system, path)
-        eigh_shapes.clear()
-        loaded = read_system(path)
-        assert system.f == 250 and (250, 250) not in eigh_shapes
-        for a, b in zip(system.points, loaded.points):
-            x, y = a.op, b.op
-            assert (y.pos_eigs, y.neg_eigs) == (x.pos_eigs, x.neg_eigs) == (2, 2)
-            lx, ly = x.nonzero_eigenvalues(), y.nonzero_eigenvalues()
-            assert np.abs(ly - lx).max() <= 1e-12 * x.spectral_radius
-            bx, by = x.image_basis(), y.image_basis()
-            assert np.abs(by @ by.conj().T - bx @ bx.conj().T).max() <= 1e-12
-        out = tmp_path / "reports"
-        assert main(["classify", "--system", str(path), "--out", str(out)]) == 0
-        assert (250, 250) not in eigh_shapes
+        # the generated points store their waves, their matrix twins
+        # triangles, which the range finder reads
+        twins = CausalFermionSystem(2, [(e.id, 1.0, OperatorPoint(e.op.matrix)) for e in system])
         want = classification_csv(pairs.PairEngine(system).analyze())
-        assert (out / "classification.csv").read_text() == want
+        for stored in (system, twins):
+            path = tmp_path / "sea.json"
+            write_system(stored, path)
+            eigh_shapes.clear()
+            loaded = read_system(path)
+            assert system.f == 250 and (250, 250) not in eigh_shapes
+            for a, b in zip(stored.points, loaded.points):
+                x, y = a.op, b.op
+                # a triangle's round trip may flip signed zeros, waves' cannot
+                assert np.array_equal(x.matrix, y.matrix)
+                assert stored is twins or x.matrix.tobytes() == y.matrix.tobytes()
+                assert (y.pos_eigs, y.neg_eigs) == (x.pos_eigs, x.neg_eigs) == (2, 2)
+                lx, ly = x.nonzero_eigenvalues(), y.nonzero_eigenvalues()
+                assert np.abs(ly - lx).max() <= 1e-12 * x.spectral_radius
+                bx, by = x.image_basis(), y.image_basis()
+                assert np.abs(by @ by.conj().T - bx @ bx.conj().T).max() <= 1e-12
+            out = tmp_path / "reports"
+            assert main(["classify", "--system", str(path), "--out", str(out)]) == 0
+            assert (250, 250) not in eigh_shapes
+            assert (out / "classification.csv").read_text() == want
 
     @pytest.mark.parametrize("signature, full_eighs", [((2, 1), 0), ((5, 4), 1)])
     def test_rank_above_2n_refused(self, signature, full_eighs, tmp_path, capsys, eigh_shapes):
@@ -1184,21 +1274,25 @@ _GENERATE_DOCS = {
 
 
 class TestGenerate:
-    """``generate`` builds every point but the first of a config as its
-    translate; the file holds only matrices, so it must equal what the
-    per-point ``build_system`` writes."""
+    """``generate`` decomposes every point through the 4 x 4 factor of its
+    wave evaluation; the file holds only the waves and forms, so it must
+    equal what ``build_system``, with its f x f ``eigh`` per point, writes."""
 
     @staticmethod
     def _configs(doc) -> list:
         docs = doc["components"] if doc["kind"] == "mixture" else [doc]
         return [cli._minkowski_config(d) for d in docs]
 
-    def _expected(self, doc, path) -> bytes:
+    def _built(self, doc):
+        """The config's system as ``build_system`` and ``mix_systems`` build it."""
         systems = [minkowski.build_system(cfg) for cfg in self._configs(doc)]
         if doc["kind"] == "mixture":
             spec = minkowski.MixtureSpec(tuple(systems), tuple(doc["weights"]))
             systems = [minkowski.mix_systems(spec)]
-        write_system(systems[0], path)
+        return systems[0]
+
+    def _expected(self, doc, path) -> bytes:
+        write_system(self._built(doc), path)
         return path.read_bytes()
 
     @pytest.mark.parametrize("name", sorted(_GENERATE_DOCS))
@@ -1210,9 +1304,32 @@ class TestGenerate:
         assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "got.json")]) == 0
         made = list(eigh_shapes)
         assert (tmp_path / "got.json").read_bytes() == self._expected(doc, tmp_path / "want.json")
-        # no f x f eigendecomposition: the range finder decomposes each
-        # config's first point, and the others are its translates
         assert not {(c.f, c.f) for c in self._configs(doc)} & set(made)
+
+    @pytest.mark.parametrize("name", sorted(_GENERATE_DOCS))
+    def test_round_trip_without_f_by_f_work(self, name, tmp_path, eigh_shapes, monkeypatch):
+        # generate, validate and classify decompose each point through its
+        # 4 x 4 factor and never form its f x f product
+        doc = _GENERATE_DOCS[name]
+        cfg_path, sys_path = tmp_path / "config.json", tmp_path / "system.json"
+        cfg_path.write_text(json.dumps(doc))
+
+        def refuse(*args):
+            raise AssertionError("matrix formed")
+
+        with monkeypatch.context() as m:
+            m.setattr(core, "_wave_product", refuse)
+            eigh_shapes.clear()
+            assert main(["generate", "--config", str(cfg_path), "--out", str(sys_path)]) == 0
+            assert main(["validate", "--system", str(sys_path)]) == 0
+            out = tmp_path / "reports"
+            assert main(["classify", "--system", str(sys_path), "--out", str(out)]) == 0
+            assert not {(c.f, c.f) for c in self._configs(doc)} & set(eigh_shapes)
+        system = self._built(doc)
+        want = [e.op.matrix.tobytes() for e in system.points]
+        assert [e.op.matrix.tobytes() for e in read_system(sys_path).points] == want
+        csv = classification_csv(pairs.PairEngine(system).analyze())
+        assert (out / "classification.csv").read_text() == csv
 
     @pytest.mark.parametrize("name", sorted(_GENERATE_DOCS))
     def test_one_blas_thread_writes_the_same_bytes(self, name, tmp_path):
@@ -1257,16 +1374,27 @@ class TestIoCrossCheck:
         )
 
 
+def _v2_doc(system) -> dict:
+    """A version 2 document of a system of matrix points."""
+    return {**json.loads(system_to_json(system)), "version": "2"}
+
+
 def _fuzz_documents() -> dict:
     """Valid two-point systems (n=1): at f=3 as a version 1 and a version 2
-    document, and at f=24, where the reader takes the range finder, as a
-    version 2 document."""
-    system = random_regular_system(2, 3, 1, np.random.default_rng(89))
+    document and, of generated points (2 x 3 waves), as a version 3 one, and
+    at f=24, where the reader takes the range finder, as a version 2
+    document."""
+    rng = np.random.default_rng(89)
+    system = random_regular_system(2, 3, 1, rng)
     large = random_regular_system(2, 24, 1, np.random.default_rng(89))
+    form = np.diag([1.0, -1.0]).astype(complex)
+    waves = [rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)) for _ in range(2)]
+    generated = [(f"w{k}", 1.0, OperatorPoint(waves=(psi, form))) for k, psi in enumerate(waves)]
     return {
         "1": _v1_doc(system),
-        "2": json.loads(system_to_json(system)),
-        "2, f=24": json.loads(system_to_json(large)),
+        "2": _v2_doc(system),
+        "2, f=24": _v2_doc(large),
+        "3": json.loads(system_to_json(CausalFermionSystem(1, generated))),
     }
 
 
@@ -1274,8 +1402,15 @@ _FUZZ_DOCS = _fuzz_documents()
 _KEY_PATHS = [
     ("version",), ("n",), ("f",), ("tolerances",), ("tolerances", "eig_rel"),
     ("tolerances", "zero_abs"), ("metadata",), ("points",), ("points", 0),
-    ("points", 1, "id"), ("points", 0, "weight"), ("points", 1, "matrix"),
+    ("points", 1, "id"), ("points", 0, "weight"),
 ]
+#: each document's array members: doc name -> paths
+_ARRAY_PATHS = {
+    "1": [("points", 1, "matrix")],
+    "2": [("points", 1, "matrix")],
+    "2, f=24": [("points", 1, "matrix")],
+    "3": [("points", 1, "psi"), ("points", 0, "form")],
+}
 _PAIR_PATHS = [("points", 0, "matrix", 2), ("points", 1, "matrix", 5, 1)]
 _VALUES = [
     None, True, 0, -1, 2.5, float("nan"), float("inf"), "x", "", "AAAA", [], [0], [[0.0, 0.0]],
@@ -1296,24 +1431,26 @@ def mutated_files(draw) -> str:
     doc = copy.deepcopy(_FUZZ_DOCS[name])
     kind = draw(st.sampled_from(["drop", "retype", "version", "truncate", "blob"]))
     if kind == "drop":
-        parent, key = _at(doc, draw(st.sampled_from(_KEY_PATHS)))
+        parent, key = _at(doc, draw(st.sampled_from(_KEY_PATHS + _ARRAY_PATHS[name])))
         del parent[key]
     elif kind == "retype":
-        paths = _KEY_PATHS + (_PAIR_PATHS if name == "1" else [])
+        paths = _KEY_PATHS + _ARRAY_PATHS[name] + (_PAIR_PATHS if name == "1" else [])
         parent, key = _at(doc, draw(st.sampled_from(paths)))
         parent[key] = draw(st.sampled_from(_VALUES))
     elif kind == "version":
         doc["version"] = draw(st.sampled_from(["1", "2", "3", "", 2, None]))
     elif kind == "blob":
-        doc = copy.deepcopy(_FUZZ_DOCS[draw(st.sampled_from(["2", "2, f=24"]))])
+        name = draw(st.sampled_from(["2", "2, f=24", "3"]))
+        doc = copy.deepcopy(_FUZZ_DOCS[name])
+        point, member = _at(doc, draw(st.sampled_from(_ARRAY_PATHS[name])))
         point = doc["points"][draw(st.integers(0, 1))]
-        blob = point["matrix"]
+        blob = point[member]
         k = draw(st.integers(0, len(blob) - 1))
         if draw(st.booleans()):
             blob = blob[:k] + draw(st.sampled_from("A/+=9z!* \né")) + blob[k + 1 :]
         else:
             blob = blob[k:] if draw(st.booleans()) else blob[:k]
-        point["matrix"] = blob
+        point[member] = blob
     text = json.dumps(doc, indent=1)
     if kind == "truncate":
         text = text[: draw(st.integers(0, len(text) - 1))]

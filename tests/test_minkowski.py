@@ -11,7 +11,7 @@ import pytest
 
 from cfslab import core
 from cfslab import minkowski as mk
-from cfslab.cli import validate_system
+from cfslab.cli import _factor_defect, validate_system
 from cfslab.core import (
     CausalFermionSystem,
     OperatorPoint,
@@ -309,48 +309,66 @@ class TestDiracFrame:
         assert mk.dirac_frame(stated, modes, "p0000").signature == (1, 3)
 
 
-class TestTranslates:
-    def test_match_local_correlation(self):
-        # time translates along the axis and general shifts off it
-        cfg = mk.MinkowskiConfig(kmax=1, torus_radius=0.8, sample_points=((0, 0, 0, 0),))
-        modes = mk.build_modes(cfg)
-        coords = [
-            (0.05, 0.1, 0.0, -0.1),
-            (0.25, 0.1, 0.0, -0.1),
-            (0.3, 0.4, -0.2, 0.05),
-            (-0.4, -0.3, 0.5, 0.2),
-            (0.05, 0.1, 0.0, -0.1),
-        ]
-        translates = mk._translates(modes, 2e-3, coords)
-        for p, x in zip(coords, translates):
-            y = mk.local_correlation(modes, p, 2e-3)
-            assert np.array_equal(x.matrix, y.matrix)
-            assert (x.rank, x.pos_eigs) == (y.rank, y.pos_eigs)
-            assert np.allclose(x.nonzero_eigenvalues(), y.nonzero_eigenvalues(), rtol=0, atol=1e-12)
-            bx, by = x.image_basis(), y.image_basis()
-            assert np.abs(bx @ bx.conj().T - by @ by.conj().T).max() <= 1e-12
-        system = CausalFermionSystem(2, [(f"p{k}", 1.0, x) for k, x in enumerate(translates)])
-        assert validate_system(system) == []
+class TestWavePoints:
+    """Points decomposed through the 4 x 4 factor of their wave evaluation."""
 
+    COORDS = (
+        (0.0, 0.0, 0.0, 0.0),
+        (0.1, 0.2, -0.3, 0.05),
+        (0.25, 0.1, 0.0, -0.1),
+        (-0.4, -0.3, 0.5, 0.2),
+    )
 
     @pytest.mark.parametrize("kmax", [0, 1, 2])
-    def test_first_point_matches_local_correlation(self, kmax, eigh_shapes):
-        # f = 2 at kmax 0 is below 4 (4 + 4) = 32, where the full eigh runs
-        cfg = mk.MinkowskiConfig(kmax=kmax, sample_points=((0, 0, 0, 0),))
+    def test_match_local_correlation(self, kmax, eigh_shapes):
+        # kmax 0 has f = 2 < 4 modes, so rank and factor are 2
+        cfg = mk.MinkowskiConfig(kmax=kmax, torus_radius=0.8, sample_points=((0, 0, 0, 0),))
         modes = mk.build_modes(cfg)
-        p = (0.1, 0.2, -0.3, 0.05)
         eigh_shapes.clear()
-        (x,) = mk._translates(modes, 1e-3, [p])
-        assert eigh_shapes.count((cfg.f, cfg.f)) == (cfg.f < 32)
-        y = mk.local_correlation(modes, p, 1e-3)
-        assert np.array_equal(x.matrix, y.matrix)
-        assert (x.rank, x.pos_eigs, x.neg_eigs) == (y.rank, y.pos_eigs, y.neg_eigs)
-        assert x.rank == min(cfg.f, 4)
-        lx, ly = x.nonzero_eigenvalues(), y.nonzero_eigenvalues()
-        assert np.abs(lx - ly).max() <= 1e-12 * y.spectral_radius
-        assert x.spectral_radius == pytest.approx(y.spectral_radius, rel=1e-12)
-        bx, by = x.image_basis(), y.image_basis()
-        assert np.abs(bx @ bx.conj().T - by @ by.conj().T).max() <= 1e-12
+        points = mk._wave_points(modes, 2e-3, self.COORDS)
+        r = min(cfg.f, 4)
+        assert eigh_shapes == [(r, r)] * len(self.COORDS)
+        for p, x in zip(self.COORDS, points):
+            y = mk.local_correlation(modes, p, 2e-3)
+            assert x.matrix.tobytes() == y.matrix.tobytes()
+            assert (x.rank, x.pos_eigs, x.neg_eigs) == (y.rank, y.pos_eigs, y.neg_eigs)
+            assert x.rank == r
+            lx, ly = x.nonzero_eigenvalues(), y.nonzero_eigenvalues()
+            assert np.abs(lx - ly).max() <= 1e-12 * y.spectral_radius
+            assert x.spectral_radius == pytest.approx(y.spectral_radius, rel=1e-12)
+            bx, by = x.image_basis(), y.image_basis()
+            assert np.abs(bx @ bx.conj().T - by @ by.conj().T).max() <= 1e-12
+        system = CausalFermionSystem(2, [(f"p{k}", 1.0, x) for k, x in enumerate(points)])
+        assert validate_system(system) == []
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [("psi", np.nan), ("psi", complex(0.0, np.inf)), ("psi", 1e200), ("form", np.nan)],
+        ids=["psi-nan", "psi-inf", "factor-overflows", "form-nan"],
+    )
+    def test_non_finite_refused(self, entry, value):
+        psi = mk.evaluation_matrix(mk.build_modes(mk.MinkowskiConfig()), self.COORDS[1], 1e-3)
+        waves = {"psi": psi.copy(), "form": mk.GAMMA[0].copy()}
+        waves[entry][1, 1] = value
+        with pytest.raises(ValidationError, match="^matrix has a non-finite entry$"):
+            OperatorPoint(waves=(waves["psi"], waves["form"]))
+
+    @pytest.mark.parametrize("change", ["perturbed", "truncated"])
+    def test_validate_reports_a_wrong_factor(self, change):
+        # the defect from the factors equals the dense ||A - B L B^+||_F
+        cfg = mk.MinkowskiConfig(kmax=1, torus_radius=0.8, sample_points=((0, 0, 0, 0),))
+        (x,) = mk._wave_points(mk.build_modes(cfg), 1e-3, self.COORDS[1:2])
+        b, lam = x.image_basis(), x.nonzero_eigenvalues()
+        if change == "perturbed":
+            b, lam = b, lam * (1.0 + 1e-6)
+        else:
+            b, lam = b[:, :3], lam[:3]
+        bad = OperatorPoint._from_factors(None, b.copy(), lam.copy(), x.spectral_radius, x._waves)
+        (failure,) = validate_system(CausalFermionSystem(2, [("bad", 1.0, bad)]))
+        assert failure.startswith("point bad: image basis and eigenvalues miss the matrix")
+        dense = np.linalg.norm(x.matrix - (b * lam) @ b.conj().T)
+        assert _factor_defect(bad)[0] == pytest.approx(dense, rel=1e-9)
+        assert _factor_defect(bad)[1] == pytest.approx(np.linalg.norm(x.matrix), rel=1e-12)
 
 
 def _held_arrays(x):
@@ -380,7 +398,9 @@ class TestGeneratedPoints:
 
     def test_hold_no_f_by_f_array(self):
         cfg = mk.MinkowskiConfig(kmax=2, torus_radius=0.8, sample_points=self.COORDS[:3])
-        for system in (mk.build_system(cfg), mk._translated_system(cfg)):
+        modes = mk.build_modes(cfg)
+        waves = mk._build_system(cfg, modes, ops=mk._wave_points(modes, cfg.eps, cfg.sample_points))
+        for system in (mk.build_system(cfg), waves):
             for e in system.points:
                 sizes = [a.size for a in _held_arrays(e.op)]
                 assert sizes and max(sizes) < cfg.f**2
@@ -394,7 +414,7 @@ class TestGeneratedPoints:
         built = {
             "local_correlation": [mk.local_correlation(modes, p, cfg.eps) for p in self.COORDS],
             "build_system": [e.op for e in mk.build_system(cfg).points],
-            "_translates": mk._translates(modes, cfg.eps, self.COORDS),
+            "_wave_points": mk._wave_points(modes, cfg.eps, self.COORDS),
         }
         for ops in built.values():
             assert [x.matrix.tobytes() for x in ops] == want
@@ -418,38 +438,24 @@ class TestGeneratedPoints:
 
     @pytest.mark.parametrize("kmax", [0, 2])
     def test_written_and_validated_from_one_product_each(self, kmax, monkeypatch):
-        # the writer halves only the stored triangle's entries with their
-        # mirrors, to the bits of the matrix; neither it nor validate_system
-        # forms a point's product twice
+        # the writer stores each point's wave evaluation and form, and
+        # validate_system checks its factors against them: neither forms a
+        # point's product even once
         cfg = mk.MinkowskiConfig(kmax=kmax, torus_radius=0.8, sample_points=self.COORDS)
         system = mk.build_system(cfg)
-        tril = np.tril_indices(cfg.f)
-        want = [
-            base64.b64encode(e.op.matrix[tril].astype("<c16").tobytes()).decode("ascii")
-            for e in system.points
-        ]
-        calls = []
-        product = core._wave_product
-        monkeypatch.setattr(core, "_wave_product", lambda *a: calls.append(a) or product(*a))
-        with monkeypatch.context() as m:
-            m.setattr(core, "_hermitian", None)  # the full matrix is never symmetrized
-            doc = json.loads(system_to_json(system))
-        assert [p["matrix"] for p in doc["points"]] == want
-        assert len(calls) == len(system)
-        calls.clear()
-        assert validate_system(system) == []
-        assert len(calls) == len(system)
 
-    def test_written_triangle_of_huge_entries(self):
-        # above 2**1022 the constructor halves before it adds; the writer
-        # then symmetrizes the whole matrix as the constructor does
-        rng = np.random.default_rng(1)
-        psi = rng.normal(size=(4, 12)) + 1j * rng.normal(size=(4, 12))
-        psi[0, 0] = 1.5 * 2.0**511
-        (x,) = OperatorPoint._from_waves([psi], mk.GAMMA[0])
-        tril = np.tril_indices(12)
-        assert np.abs(x.matrix).max() > 2.0**1022
-        assert x._tril(tril).tobytes() == x.matrix[tril].tobytes()
+        def refuse(*args):
+            raise AssertionError("matrix formed")
+
+        monkeypatch.setattr(core, "_wave_product", refuse)
+        doc = json.loads(system_to_json(system))
+        assert doc["version"] == "3"
+        for point, e in zip(doc["points"], system.points):
+            psi, form = e.op._waves
+            assert list(point) == ["id", "weight", "psi", "form"]
+            assert base64.b64decode(point["psi"]) == psi.astype("<c16").tobytes()
+            assert base64.b64decode(point["form"]) == form.astype("<c16").tobytes()
+        assert validate_system(system) == []
 
 
 class TestTransportStudy:
@@ -484,7 +490,7 @@ class TestTransportStudy:
         assert mk.transport_study(cfg, [4e-3], []) == []
 
     def test_no_full_eigendecomposition(self, eigh_shapes):
-        # each eps decomposes the origin's point by the range finder
+        # every point is decomposed through its 4 x 4 factor
         cfg = mk.MinkowskiConfig(
             kmax=1, torus_radius=0.8, sample_points=((0.0, 0.0, 0.0, 0.0),)
         )
